@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, determinism, embedded config hashes."""
 
 import json
+import struct
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ import pytest
 
 from emoguide.cli import main
 from emoguide.corpus import load_corpus, read_corpus_meta
-from emoguide.model import checkpoint_config_hash, load_checkpoint
+from emoguide.model import CKPT_MAGIC, checkpoint_config_hash, load_checkpoint
 
 
 @pytest.fixture(autouse=True)
@@ -322,6 +323,37 @@ def test_corrupt_corpus_exits_1(workdir, tmp_path, capsys):
     config = workdir / "run.json"
     assert main(["filter", str(corrupt), str(config), "-o", str(tmp_path / "o.jsonl")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _edit_header(data: bytes, edit) -> bytes:
+    """Rewrite a checkpoint's JSON header with ``edit``, keeping its buffers."""
+    start = len(CKPT_MAGIC) + 4
+    (length,) = struct.unpack("<I", data[len(CKPT_MAGIC) : start])
+    header = json.loads(data[start : start + length])
+    edit(header)
+    blob = json.dumps(header).encode()
+    return CKPT_MAGIC + struct.pack("<I", len(blob)) + blob + data[start + length :]
+
+
+CORRUPT_CHECKPOINTS = {
+    "truncated_length_field": lambda data: data[: len(CKPT_MAGIC) + 2],
+    "no_step_count": lambda data: _edit_header(data, lambda h: h.pop("step_count")),
+    "extra_config_key": lambda data: _edit_header(data, lambda h: h["config"].update(extra=1)),
+    "param_spec_without_shape": lambda data: _edit_header(
+        data, lambda h: h["params"][0].pop("shape")
+    ),
+    "trailing_bytes": lambda data: data + b"\0",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_CHECKPOINTS))
+def test_corrupt_checkpoint_exits_1_with_one_line(workdir, tmp_path, capsys, case):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(CORRUPT_CHECKPOINTS[case]((workdir / "agent.ckpt").read_bytes()))
+    user, config = workdir / "user.ckpt", workdir / "run.json"
+    assert main(["selfchat", str(bad), str(user), str(config), "-o", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {bad}: "), err
 
 
 def test_selfchat_vocab_mismatch_exits_1(workdir, tmp_path, capsys):

@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 
 from emoguide.model import (
+    CKPT_MAGIC,
     DecodeConfig,
     Model,
     ModelConfig,
     backward,
+    checkpoint_config_hash,
+    _decode_step,
     _forward_cached,
+    _gates,
+    _sigmoid,
     forward,
     generate,
     init_model,
@@ -119,6 +124,49 @@ def test_incremental_decode_matches_full_forward():
         stream.append(expected)
 
 
+# atol covers logits near zero, where a last-bit difference is a large relative one
+@pytest.mark.parametrize(
+    "dtype, rtol, atol", [(np.float32, 1e-5, 1e-6), (np.float64, 1e-12, 1e-15)]
+)
+def test_decode_step_logits_match_forward_at_every_position(dtype, rtol, atol):
+    m = init_model(TINY, seed=9).astype(dtype)
+    ids = np.random.default_rng(3).integers(0, TINY.vocab_size, size=TINY.context_window)
+    full = forward(m, ids)
+    layers = [_gates(m.params, layer) for layer in range(TINY.num_layers)]
+    hs = [np.zeros(TINY.hidden_dim, dtype=dtype) for _ in range(TINY.num_layers)]
+    stepped = np.stack([_decode_step(m.params, layers, hs, int(token)) for token in ids])
+    assert stepped.dtype == full.dtype == dtype
+    np.testing.assert_allclose(stepped, full, rtol=rtol, atol=atol)
+
+
+def _masked_sigmoid(x):
+    """The boolean-mask formula _sigmoid replaced; kept as its reference."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+EDGES = [0.0, -0.0, 1e3, -1e3, np.inf, -np.inf, np.nan, -np.nan]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(128,), (32, 128)])
+def test_sigmoid_is_bit_equal_to_masked_formula(dtype, shape):
+    rng = np.random.default_rng(0)
+    x = (rng.normal(scale=8.0, size=shape)).astype(dtype)
+    x.flat[: len(EDGES)] = EDGES
+    with np.errstate(under="ignore"):  # the reference underflows at -1e3
+        expected = _masked_sigmoid(x)
+    got = _sigmoid(x)
+    assert got.dtype == dtype and got.shape == shape
+    assert got.tobytes() == expected.tobytes()
+    with np.errstate(all="raise"):
+        _sigmoid(x[~np.isnan(x)])
+
+
 def test_generate_contracts():
     m = init_model(TINY, seed=5)
     assert generate(m, [1, 2], DecodeConfig(max_tokens=0)) == []
@@ -184,3 +232,21 @@ def test_checkpoint_rejects_garbage(tmp_path):
     p.write_bytes(b"definitely not a checkpoint")
     with pytest.raises(ValueError):
         load_checkpoint(p)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        CKPT_MAGIC + b"\x10\x00",  # truncated inside the length field
+        CKPT_MAGIC + b"\xff\xff\xff\xff{}",  # length runs past the end of the file
+        CKPT_MAGIC + b"\x02\x00\x00\x00[]",  # header is not a JSON object
+        CKPT_MAGIC + b"\x02\x00\x00\x00\xff\xfe",  # header is not UTF-8
+    ],
+)
+def test_checkpoint_header_readers_fail_in_one_line(tmp_path, data):
+    p = tmp_path / "bad.ckpt"
+    p.write_bytes(data)
+    for reader in (load_checkpoint, checkpoint_config_hash):
+        with pytest.raises(ValueError) as info:
+            reader(p)
+        assert "\n" not in str(info.value)
