@@ -34,12 +34,13 @@ from .corpus import (
     prepare_user_side_examples,
     save_corpus,
     synthesize_corpus,
+    write_jsonl,
 )
 from .metrics import evaluate_run
 from .model import init_model, load_checkpoint, model_checksum, save_checkpoint
 from .objective import gradient_check_suite
 from .selfchat import load_seed_utterances, self_chat
-from .train import TrainingDivergedError, evaluate_nll, train
+from .train import TrainingDivergedError, train
 from .vad import load_lexicon_file
 from .vocab import build_vocab
 
@@ -138,10 +139,7 @@ def cmd_train(args) -> int:
     )
     save_checkpoint(args.output, model, config_hash=config.config_hash())
     if args.log:
-        with open(args.log, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"meta": _meta("train", config)}, sort_keys=True) + "\n")
-            for entry in log:
-                fh.write(json.dumps(entry.to_dict(), sort_keys=True) + "\n")
+        write_jsonl(args.log, (entry.to_dict() for entry in log), meta=_meta("train", config))
     print(
         json.dumps(
             {

@@ -1,11 +1,11 @@
 """Declarative run configuration.
 
 A run config is a single JSON document with fixed sections.  Loading merges
-it over the defaults below, rejecting unknown keys at any depth, and applies
-environment-variable overrides (paths only: ``EMOGUIDE_LEXICON``,
-``EMOGUIDE_CORPUS``, ...).  The resolved document has every default spelled
-out; its canonical serialization is hashed so output files can be traced
-back to the exact settings that produced them.
+it over the defaults below, rejecting unknown keys at any depth, validates
+every section, and applies environment-variable overrides (paths only:
+``EMOGUIDE_LEXICON``, ``EMOGUIDE_CORPUS``, ...).  The resolved document has
+every default spelled out; its canonical serialization is hashed so output
+files can be traced back to the exact settings that produced them.
 
 File paths left null fall back to the packaged fixtures where one exists
 (lexicon, blocklists, self-chat seeds); the corpus path has no default.
@@ -23,7 +23,7 @@ from typing import Sequence
 from .corpus import FilterRules, SynthConfig, load_blocklist
 from .model import DecodeConfig, ModelConfig
 from .objective import PegeConfig
-from .polarity import ClassifierParams, PolarityClassifier
+from .polarity import NEUTRAL, ClassifierParams, PolarityClassifier
 from .resources import (
     ENTITY_FILE,
     LEXICON_FILE,
@@ -117,8 +117,22 @@ class RunConfig:
         data = _merge(_DEFAULTS, raw, crumb="")
         if not isinstance(data["seed"], int) or data["seed"] < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {data['seed']!r}")
+        for key, value in data["paths"].items():
+            if value is not None and not isinstance(value, str):
+                raise ConfigError(f"paths.{key} must be a string or null, got {value!r}")
         data["paths"] = _apply_env(data["paths"])
-        return cls(data=data)
+        config = cls(data=data)
+        # Build every section once, so any stage rejects any invalid section.
+        # The vocabulary size and the seed utterances come from input files;
+        # placeholders stand in for them here.
+        config.model_config(vocab_size=1)
+        config.train_config()
+        config.pege_config()
+        config.classifier_params()
+        config._build(FilterRules, **data["filters"])
+        config.synth_config()
+        config.selfchat_config([SeedUtterance("placeholder", NEUTRAL)])
+        return config
 
     def with_overrides(self, *, seed: int | None = None, ablation: str | None = None) -> RunConfig:
         data = copy.deepcopy(self.data)
@@ -158,7 +172,7 @@ class RunConfig:
     def _build(self, factory, **kwargs):
         try:
             return factory(**kwargs)
-        except (TypeError, ValueError) as exc:
+        except (ArithmeticError, TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
     def model_config(self, vocab_size: int) -> ModelConfig:
@@ -191,13 +205,7 @@ class RunConfig:
     def synth_config(self) -> SynthConfig:
         raw = self.data["synth"]
         return self._build(
-            SynthConfig,
-            num_dialogs=raw["num_dialogs"],
-            turns_range=tuple(raw["turns_range"]),
-            polarity_mix=tuple(raw["polarity_mix"]),
-            trajectory_mix=tuple(raw["trajectory_mix"]),
-            min_words=raw["min_words"],
-            max_words=raw["max_words"],
+            SynthConfig, **{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
         )
 
     def decode_config(self) -> DecodeConfig:
@@ -220,11 +228,10 @@ def default_run_config() -> RunConfig:
 def load_run_config(path) -> RunConfig:
     """Parse a JSON run config; syntax errors and unknown keys are ConfigError."""
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+        try:
+            raw = json.loads(fh.read())
+        except (RecursionError, ValueError) as exc:  # not JSON, nested too deep, or not UTF-8
+            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     try:
         return RunConfig.from_dict(raw)
     except ConfigError as exc:

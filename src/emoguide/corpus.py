@@ -26,7 +26,8 @@ first failing rule:
 Corpus files are UTF-8 JSON lines, one dialog per line:
 ``{"source_id": ..., "utterances": [{"speaker": "user"|"agent", "text": ...}]}``.
 An optional leading ``{"meta": {...}}`` line carries provenance (config hash,
-seed) and is skipped by the readers.
+seed).  ``write_jsonl`` and ``read_jsonl`` are the one writer and reader of
+this format; self-chat seeds and training logs use them too.
 """
 
 from __future__ import annotations
@@ -35,13 +36,15 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
 from .polarity import NEGATIVE, NEUTRAL, POSITIVE, PolarityClassifier, PolarityDistribution
 from .vad import VadVector, tokenize, utterance_mean_vad
 from .vocab import AGENT, USER, encode_emotion_prefix
+
+T = TypeVar("T")
 
 # ------------------------------------------------------------- word bank
 
@@ -122,6 +125,8 @@ class Utterance:
     def __post_init__(self) -> None:
         if self.speaker not in (USER, AGENT):
             raise ValueError(f"speaker must be 'user' or 'agent', got {self.speaker!r}")
+        if not isinstance(self.text, str):
+            raise ValueError(f"text must be a string, got {type(self.text).__name__}")
         toks = tuple(tokenize(self.text))
         if not toks:
             raise ValueError(f"utterance has no word tokens: {self.text!r}")
@@ -134,6 +139,8 @@ class Dialog:
     utterances: tuple[Utterance, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.source_id, str):
+            raise ValueError(f"source_id must be a string, got {type(self.source_id).__name__}")
         utts = tuple(self.utterances)
         object.__setattr__(self, "utterances", utts)
         if not utts:
@@ -382,12 +389,29 @@ class TrainingExample:
     polarity: PolarityDistribution
 
 
-def _example_fields(dialog: Dialog, classifier: PolarityClassifier):
+def _examples(
+    dialog: Dialog, utterances: Sequence[Utterance], speaker: str, classifier: PolarityClassifier
+) -> list[TrainingExample]:
+    """One example per ``speaker`` utterance after the opener, with the
+    utterances before it as context."""
     u1 = dialog.utterances[0]
     polarity = classifier(u1.tokens)
     prefix = encode_emotion_prefix(polarity)
     u1_mean = utterance_mean_vad(classifier.lexicon, u1.tokens)
-    return prefix, u1_mean, polarity
+    return [
+        TrainingExample(
+            source_id=dialog.source_id,
+            prefix=prefix,
+            context=utterances[:k],
+            target_speaker=speaker,
+            target=utt.tokens,
+            context_turns=k,
+            u1_mean_vad=u1_mean,
+            polarity=polarity,
+        )
+        for k, utt in enumerate(utterances)
+        if k > 0 and utt.speaker == speaker
+    ]
 
 
 def prepare_training_examples(
@@ -404,24 +428,7 @@ def prepare_training_examples(
     remaining = dialog.utterances[:-1]
     if not any(u.speaker == AGENT for u in remaining):
         raise ValueError(f"{dialog.source_id}: no agent utterance to predict")
-    prefix, u1_mean, polarity = _example_fields(dialog, classifier)
-    examples = []
-    for k, utt in enumerate(remaining):
-        if utt.speaker != AGENT:
-            continue
-        examples.append(
-            TrainingExample(
-                source_id=dialog.source_id,
-                prefix=prefix,
-                context=remaining[:k],
-                target_speaker=AGENT,
-                target=utt.tokens,
-                context_turns=k,
-                u1_mean_vad=u1_mean,
-                polarity=polarity,
-            )
-        )
-    return examples
+    return _examples(dialog, remaining, AGENT, classifier)
 
 
 def prepare_user_side_examples(
@@ -432,24 +439,7 @@ def prepare_user_side_examples(
     Unlike agent-side preparation nothing is deleted: the closing positive
     user utterance is the most informative target for a user model.
     """
-    prefix, u1_mean, polarity = _example_fields(dialog, classifier)
-    examples = []
-    for k, utt in enumerate(dialog.utterances):
-        if utt.speaker != USER or k == 0:
-            continue
-        examples.append(
-            TrainingExample(
-                source_id=dialog.source_id,
-                prefix=prefix,
-                context=dialog.utterances[:k],
-                target_speaker=USER,
-                target=utt.tokens,
-                context_turns=k,
-                u1_mean_vad=u1_mean,
-                polarity=polarity,
-            )
-        )
-    return examples
+    return _examples(dialog, dialog.utterances, USER, classifier)
 
 
 def corpus_words(dialogs: Sequence[Dialog]) -> list[str]:
@@ -496,6 +486,49 @@ def corpus_stats(dialogs: Sequence[Dialog], classifier: PolarityClassifier) -> C
 # -------------------------------------------------------------- file i/o
 
 
+def write_jsonl(path, records: Iterable[dict], meta: dict | None = None) -> None:
+    """Write one JSON object per line, after a ``{"meta": meta}`` header if given."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if meta is not None:
+            fh.write(json.dumps({"meta": meta}, sort_keys=True) + "\n")
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def read_jsonl(path, parse: Callable[[dict], T]) -> tuple[dict | None, list[T]]:
+    """Read a JSON-lines file into (meta, [parse(record), ...]).
+
+    Blank lines are skipped.  Every other line must hold a JSON object; the
+    first one is the meta header when it has the key ``"meta"``.  Any other
+    line that is not an object, or that ``parse`` rejects, raises one
+    ValueError naming the path and the line.
+    """
+    meta, items = None, []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except (RecursionError, json.JSONDecodeError):  # nesting too deep, or not JSON
+                raise ValueError(f"{path}: line {line_no}: invalid JSON") from None
+            try:
+                if not isinstance(record, dict):
+                    raise ValueError(f"expected a JSON object, got {type(record).__name__}")
+                if meta is None and not items and "meta" in record:
+                    meta = record["meta"]
+                    if not isinstance(meta, dict):
+                        raise ValueError("meta must be an object")
+                else:
+                    items.append(parse(record))
+            except KeyError as exc:
+                raise ValueError(f"{path}: line {line_no}: missing key {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: line {line_no}: {exc}") from None
+    return meta, items
+
+
 def dialog_to_record(dialog: Dialog) -> dict:
     return {
         "source_id": dialog.source_id,
@@ -513,40 +546,15 @@ def dialog_from_record(record: dict) -> Dialog:
 
 
 def save_corpus(path, dialogs: Sequence[Dialog], meta: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if meta is not None:
-            fh.write(json.dumps({"meta": meta}, sort_keys=True) + "\n")
-        for d in dialogs:
-            fh.write(json.dumps(dialog_to_record(d), sort_keys=True) + "\n")
+    write_jsonl(path, (dialog_to_record(d) for d in dialogs), meta)
 
 
 def load_corpus(path) -> list[Dialog]:
-    dialogs = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {line_no}: invalid JSON") from exc
-            if "meta" in record:
-                continue
-            try:
-                dialogs.append(dialog_from_record(record))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: line {line_no}: {exc}") from exc
-    return dialogs
+    return read_jsonl(path, dialog_from_record)[1]
 
 
 def read_corpus_meta(path) -> dict | None:
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline().strip()
-    if not first:
-        return None
-    record = json.loads(first)
-    return record.get("meta")
+    return read_jsonl(path, lambda record: record)[0]
 
 
 def load_blocklist(path) -> list[str]:

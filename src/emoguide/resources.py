@@ -1,12 +1,13 @@
-"""Access to packaged default data files (lexicon, blocklists, seed set)."""
+"""Names and paths of the packaged data files (lexicon, blocklists, seed set).
+
+``RunConfig`` reads them: ``default_run_config().lexicon()`` and
+``.filter_rules()`` give the packaged defaults.
+"""
 
 from __future__ import annotations
 
 from importlib import resources
 from pathlib import Path
-
-from .corpus import FilterRules, load_blocklist
-from .vad import VadLexicon, load_lexicon_file
 
 LEXICON_FILE = "vad_lexicon.tsv"
 TOPIC_FILE = "topic_blocklist.txt"
@@ -17,19 +18,3 @@ SEEDS_FILE = "selfchat_seeds.jsonl"
 
 def data_path(name: str) -> Path:
     return Path(str(resources.files("emoguide") / "data" / name))
-
-
-def default_lexicon() -> VadLexicon:
-    return load_lexicon_file(data_path(LEXICON_FILE))
-
-
-def default_filter_rules(
-    first_utt_threshold: float = 0.5, last_utt_pos_threshold: float = 0.9
-) -> FilterRules:
-    return FilterRules(
-        first_utt_threshold=first_utt_threshold,
-        last_utt_pos_threshold=last_utt_pos_threshold,
-        topic_blocklist=frozenset(load_blocklist(data_path(TOPIC_FILE))),
-        entity_patterns=tuple(load_blocklist(data_path(ENTITY_FILE))),
-        offensive_blocklist=frozenset(load_blocklist(data_path(OFFENSIVE_FILE))),
-    )

@@ -13,14 +13,13 @@ deterministic either way.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import Dialog, Utterance
+from .corpus import Dialog, Utterance, read_jsonl
 from .model import DecodeConfig, Model, generate
 from .polarity import NEGATIVE, NEUTRAL, POSITIVE, PolarityClassifier
 from .vad import tokenize
@@ -37,28 +36,15 @@ class SeedUtterance:
     def __post_init__(self) -> None:
         if self.polarity not in POLARITY_LABELS:
             raise ValueError(f"polarity must be one of {POLARITY_LABELS}, got {self.polarity!r}")
+        if not isinstance(self.text, str):
+            raise ValueError(f"text must be a string, got {type(self.text).__name__}")
         if not tokenize(self.text):
             raise ValueError(f"seed utterance has no word tokens: {self.text!r}")
 
 
 def load_seed_utterances(path) -> list[SeedUtterance]:
-    """Seed fixture reader: JSON lines with "text" and "polarity" fields."""
-    seeds = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {line_no}: invalid JSON") from exc
-            if "meta" in record:
-                continue
-            try:
-                seeds.append(SeedUtterance(record["text"], record["polarity"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: line {line_no}: {exc}") from exc
+    """Seed fixture reader: JSON lines with string "text" and "polarity" fields."""
+    _, seeds = read_jsonl(path, lambda record: SeedUtterance(record["text"], record["polarity"]))
     if not seeds:
         raise ValueError(f"{path}: no seed utterances")
     return seeds

@@ -23,7 +23,7 @@ import numpy as np
 
 from .corpus import TrainingExample
 from .model import Model, _forward_cached, backward
-from .objective import LossBreakdown, PegeConfig, pege_loss
+from .objective import LossBreakdown, PegeConfig, nll_loss, pege_loss
 from .vad import VadLexicon, VadMatrix, align_vocab
 from .vocab import Vocab, assemble_stream, utterance_segment
 
@@ -237,9 +237,6 @@ def evaluate_nll(
         ids = _pad_batch(batch, 0)
         logits, _ = _forward_cached(model, ids)
         for i, e in enumerate(batch):
-            L = len(e.ids)
-            rows = logits[i, e.resp_start - 1 : L - 1].astype(np.float64)
-            shifted = rows - rows.max(axis=1, keepdims=True)
-            logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-            total += float(-logp[np.arange(e.steps), e.ids[e.resp_start :]].sum())
+            rows = logits[i, e.resp_start - 1 : len(e.ids) - 1].astype(np.float64)
+            total += nll_loss(rows, e.ids[e.resp_start :])
     return total / len(encoded)

@@ -113,28 +113,7 @@ def load_lexicon(
     Duplicate tokens (after lowercasing) keep the last value and are counted
     as collisions.  An empty record set is an error.
     """
-    entries: dict[str, VadVector] = {}
-    collisions = 0
-    count = 0
-    for row_no, record in enumerate(records, start=1):
-        count += 1
-        try:
-            token, v, a, d = record
-        except (TypeError, ValueError) as exc:
-            raise LexiconFormatError(f"row {row_no}: expected 4 fields") from exc
-        if not isinstance(token, str) or not token:
-            raise LexiconFormatError(f"row {row_no}: bad token {token!r}")
-        try:
-            vec = VadVector(float(v), float(a), float(d))
-        except (TypeError, ValueError) as exc:
-            raise LexiconFormatError(f"row {row_no}: {exc}") from exc
-        key = token.lower()
-        if key in entries:
-            collisions += 1
-        entries[key] = vec
-    if count == 0:
-        raise LexiconFormatError("empty lexicon source")
-    return VadLexicon(entries=entries, default=default, collisions=collisions)
+    return _build_lexicon(enumerate(records, start=1), default)
 
 
 def load_lexicon_file(
@@ -143,41 +122,44 @@ def load_lexicon_file(
     """Parse a UTF-8 TSV lexicon: token<TAB>valence<TAB>arousal<TAB>dominance.
 
     Blank lines and lines starting with '#' are ignored.  Row numbers in error
-    messages refer to physical lines in the file.
+    messages refer to physical lines in the file, and messages name the file.
     """
 
     def rows():
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                fields = stripped.split("\t")
-                if len(fields) != 4:
-                    raise LexiconFormatError(
-                        f"row {line_no}: expected 4 tab-separated fields, got {len(fields)}"
-                    )
-                token, v, a, d = fields
-                try:
-                    yield line_no, (token, float(v), float(a), float(d))
-                except ValueError as exc:
-                    raise LexiconFormatError(f"row {line_no}: {exc}") from exc
+                if stripped and not stripped.startswith("#"):
+                    yield line_no, stripped.split("\t")
 
+    return _build_lexicon(rows(), default, source=path)
+
+
+def _build_lexicon(numbered_records, default: VadVector, source=None) -> VadLexicon:
+    """The one lexicon builder, over (row number, record) pairs; error
+    messages start with ``source`` when one is given."""
+    where = "" if source is None else f"{source}: "
     entries: dict[str, VadVector] = {}
     collisions = 0
     count = 0
-    for line_no, (token, v, a, d) in rows():
+    for row_no, record in numbered_records:
         count += 1
         try:
-            vec = VadVector(v, a, d)
-        except ValueError as exc:
-            raise LexiconFormatError(f"row {line_no}: {exc}") from exc
+            token, v, a, d = record
+        except (TypeError, ValueError) as exc:
+            raise LexiconFormatError(f"{where}row {row_no}: expected 4 fields") from exc
+        if not isinstance(token, str) or not token:
+            raise LexiconFormatError(f"{where}row {row_no}: bad token {token!r}")
+        try:
+            vec = VadVector(float(v), float(a), float(d))
+        except (TypeError, ValueError) as exc:
+            raise LexiconFormatError(f"{where}row {row_no}: {exc}") from exc
         key = token.lower()
         if key in entries:
             collisions += 1
         entries[key] = vec
     if count == 0:
-        raise LexiconFormatError(f"empty lexicon file: {path}")
+        raise LexiconFormatError(f"{where}empty lexicon source")
     return VadLexicon(entries=entries, default=default, collisions=collisions)
 
 

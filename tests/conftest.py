@@ -3,7 +3,16 @@
 The trained models are expensive (~1 min each), are shared between the
 training-sanity and ablation-direction criteria, and are built lazily so
 the unit-test modules stay fast when run on their own.
+
+BLAS runs on one thread, as in perfbench: with the library's default of one
+thread per core, a second numpy process on the same cores slows training
+several-fold.  The variables must be set before numpy is first imported.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import time
 from dataclasses import dataclass, field

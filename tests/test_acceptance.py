@@ -31,7 +31,6 @@ from emoguide.objective import (
     softmax,
 )
 from emoguide.polarity import PolarityDistribution
-from emoguide.resources import default_lexicon
 from emoguide.selfchat import SelfChatConfig, load_seed_utterances, self_chat
 from emoguide.vad import VadMatrix
 
@@ -209,7 +208,7 @@ def _brute_e(lexicon, dialog):
 
 
 def test_criterion_4_metric_oracles():
-    lexicon = default_lexicon()
+    lexicon = default_run_config().lexicon()
 
     def dialog(*texts):
         return Dialog(

@@ -1,11 +1,15 @@
 """Command-line interface: exit codes, determinism, embedded config hashes."""
 
+import io
 import json
 import struct
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emoguide.cli import main
 from emoguide.corpus import load_corpus, read_corpus_meta
@@ -36,7 +40,8 @@ TINY = {
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
-    """A config file plus synthesized/filtered corpus and two tiny checkpoints."""
+    """A config file, a synthesized/filtered corpus, two tiny checkpoints, and a
+    self-chat config with its seeds and one transcript (``chats_a.jsonl``)."""
     root = tmp_path_factory.mktemp("cli")
     config = root / "run.json"
     config.write_text(json.dumps(TINY))
@@ -65,6 +70,16 @@ def workdir(tmp_path_factory):
         )
         == 0
     )
+    seeds = root / "seeds.jsonl"
+    seeds.write_text(
+        '{"text": "awful terrible day", "polarity": "negative"}\n'
+        '{"text": "just a plain morning", "polarity": "neutral"}\n'
+        '{"text": "wonderful happy news", "polarity": "positive"}\n'
+    )
+    chat_config = root / "chat_config.json"
+    chat_config.write_text(json.dumps({**TINY, "paths": {"seeds": str(seeds)}}))
+    chats = root / "chats_a.jsonl"
+    assert main(["selfchat", str(agent), str(user), str(chat_config), "-o", str(chats)]) == 0
     return root
 
 
@@ -194,19 +209,10 @@ def test_train_ablation_changes_hash_and_total(workdir, capsys):
 
 
 def test_selfchat_deterministic_and_counts(workdir):
-    config = workdir / "run.json"
-    seeds = workdir / "seeds.jsonl"
-    seeds.write_text(
-        '{"text": "awful terrible day", "polarity": "negative"}\n'
-        '{"text": "just a plain morning", "polarity": "neutral"}\n'
-        '{"text": "wonderful happy news", "polarity": "positive"}\n'
-    )
     special = workdir / "chat_config.json"
-    special.write_text(json.dumps({**TINY, "paths": {"seeds": str(seeds)}}))
     a = workdir / "chats_a.jsonl"
     b = workdir / "chats_b.jsonl"
     agent, user = str(workdir / "agent.ckpt"), str(workdir / "user.ckpt")
-    assert main(["selfchat", agent, user, str(special), "-o", str(a)]) == 0
     assert main(["selfchat", agent, user, str(special), "-o", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
@@ -286,12 +292,38 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     assert main(["synth", str(unknown), "-o", str(tmp_path / "y.jsonl")]) == 2
 
 
-def test_invalid_config_value_exits_2(tmp_path):
+def test_invalid_config_value_exits_2(workdir, tmp_path):
     bad = tmp_path / "neg_lr.json"
     bad.write_text(json.dumps({**TINY, "train": {**TINY["train"], "learning_rate": -1.0}}))
-    corpus = tmp_path / "c.jsonl"
-    assert main(["synth", str(bad), "-o", str(corpus)]) == 0  # synth never builds a trainer
+    corpus = workdir / "kept.jsonl"
+    # the whole config is validated at load, so synth rejects a bad train section too
+    assert main(["synth", str(bad), "-o", str(tmp_path / "c.jsonl")]) == 2
     assert main(["train", str(bad), "--corpus", str(corpus), "-o", str(tmp_path / "m.ckpt")]) == 2
+
+
+INVALID_CONFIGS = {
+    "max_steps_inf": '{"train": {"max_steps": 1e999}}',
+    "turns_zero": '{"selfchat": {"turns": 0}}',
+    "alpha_negative": '{"objective": {"alpha": -1}}',
+    "hidden_dim_zero": '{"model": {"hidden_dim": 0}}',
+    "lexicon_path_int": '{"paths": {"lexicon": 0}}',
+    "lexicon_path_list": '{"paths": {"lexicon": ["a"]}}',
+    "turns_range_int": '{"synth": {"turns_range": 5}}',
+    "threshold_string": '{"filters": {"first_utt_threshold": "x"}}',
+    "temperature_huge_int": '{"classifier": {"temperature": 1%s}}' % ("0" * 400),
+    "not_utf8": b'{"seed": "\xff"}',
+    "nested_too_deep": "[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_CONFIGS))
+def test_any_invalid_config_section_exits_2_with_one_line(tmp_path, capsys, case):
+    bad = tmp_path / "bad.json"
+    text = INVALID_CONFIGS[case]
+    bad.write_bytes(text if isinstance(text, bytes) else text.encode())
+    assert main(["synth", str(bad), "-o", str(tmp_path / "c.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"config error: {bad}: "), err
 
 
 def test_missing_inputs_exit_1(workdir, tmp_path, capsys):
@@ -315,6 +347,76 @@ def test_missing_inputs_exit_1(workdir, tmp_path, capsys):
         )
         == 1
     )
+
+
+GOOD_UTTERANCE = '{"speaker": "user", "text": "sad day"}'
+# line -> a fragment of the one-line diagnostic
+MALFORMED_CORPUS_LINES = {
+    "number": ("5", "expected a JSON object, got int"),
+    "null": ("null", "expected a JSON object, got NoneType"),
+    "string_metadata": ('"metadata"', "expected a JSON object, got str"),
+    "list": ("[1, 2]", "expected a JSON object, got list"),
+    "source_id_int": (
+        '{"source_id": 5, "utterances": [%s]}' % GOOD_UTTERANCE,
+        "source_id must be a string, got int",
+    ),
+    "speaker_int": (
+        '{"source_id": "a", "utterances": [{"speaker": 5, "text": "hi"}]}',
+        "speaker must be 'user' or 'agent', got 5",
+    ),
+    "text_int": (
+        '{"source_id": "a", "utterances": [{"speaker": "user", "text": 5}]}',
+        "text must be a string, got int",
+    ),
+    "no_utterances": ('{"source_id": "a"}', "missing key 'utterances'"),
+    "meta_not_first": ('{"meta": {"seed": 1}}', "missing key 'source_id'"),
+    "nested_too_deep": ("[" * 100_000, "invalid JSON"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CORPUS_LINES))
+def test_malformed_corpus_line_exits_1_with_one_line(workdir, tmp_path, capsys, case):
+    line, message = MALFORMED_CORPUS_LINES[case]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"source_id": "ok", "utterances": [%s]}\n%s\n' % (GOOD_UTTERANCE, line))
+    config = workdir / "run.json"
+    assert main(["filter", str(corpus), str(config), "-o", str(tmp_path / "o.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {corpus}: line 2: {message}\n"
+
+
+MALFORMED_SEED_LINES = {
+    "number": ("5", "expected a JSON object, got int"),
+    "null": ("null", "expected a JSON object, got NoneType"),
+    "string_metadata": ('"metadata"', "expected a JSON object, got str"),
+    "text_int": ('{"text": 5, "polarity": "neutral"}', "text must be a string, got int"),
+    "polarity_int": ('{"text": "good day", "polarity": 1}', "polarity must be one of"),
+    "no_polarity": ('{"text": "good day"}', "missing key 'polarity'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SEED_LINES))
+def test_malformed_seed_line_exits_1_with_one_line(workdir, tmp_path, capsys, case):
+    line, message = MALFORMED_SEED_LINES[case]
+    seeds = tmp_path / "seeds.jsonl"
+    seeds.write_text('{"text": "good day", "polarity": "positive"}\n%s\n' % line)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY, "paths": {"seeds": str(seeds)}}))
+    agent, user = str(workdir / "agent.ckpt"), str(workdir / "user.ckpt")
+    assert main(["selfchat", agent, user, str(config), "-o", str(tmp_path / "d.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith(f"error: {seeds}: line 2: {message}"), err
+
+
+def test_bad_lexicon_row_names_the_file(workdir, tmp_path, capsys):
+    lexicon = tmp_path / "lex.tsv"
+    lexicon.write_text("# header\nhappy\t0.9\t0.6\t0.6\nsad\t0.1\t2.0\t0.3\n")
+    tokens = tmp_path / "tokens.txt"
+    tokens.write_text("happy\n")
+    assert main(["lexicon", "stats", str(lexicon), str(tokens)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {lexicon}: row 3: "), err
 
 
 def test_corrupt_corpus_exits_1(workdir, tmp_path, capsys):
@@ -389,3 +491,172 @@ def test_module_entry_point_help():
     assert proc.returncode == 0
     for sub in ("synth", "filter", "train", "gradcheck", "selfchat", "eval", "lexicon"):
         assert sub in proc.stdout
+
+
+# ------------------------------------------------- fuzzed reader inputs
+#
+# Each case mutates a valid input file (truncates it, flips bytes, drops a
+# key or changes a value's type) and runs it through ``main``.  A mutation
+# may leave the input valid, so the contract checked is: success with a
+# silent stderr, or the reader's exit code (1 for input files, 2 for the
+# config) with exactly one stderr line.  Example counts are bounded and
+# derandomized so the suite stays fast and repeatable.
+
+FUZZ = settings(max_examples=40, deadline=None, derandomize=True)
+
+OTHER_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 40),
+    st.floats(),
+    st.text(max_size=4),
+    st.lists(st.integers(-3, 40), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 40), max_size=2),
+)
+
+
+def _flip(data: bytes, flips) -> bytes:
+    out = bytearray(data)
+    for index, mask in flips:
+        out[index] ^= mask
+    return bytes(out)
+
+
+def byte_mutations(data: bytes):
+    return st.one_of(
+        st.integers(0, len(data) - 1).map(lambda n: data[:n]),
+        st.lists(
+            st.tuples(st.integers(0, len(data) - 1), st.integers(1, 255)), min_size=1, max_size=3
+        ).map(lambda flips: _flip(data, flips)),
+    )
+
+
+@st.composite
+def mutated_json(draw, value):
+    """``value`` with one key dropped or one value retyped, at any depth."""
+    if isinstance(value, (dict, list)) and value and draw(st.integers(0, 3)) > 0:
+        out = dict(value) if isinstance(value, dict) else list(value)
+        key = draw(st.sampled_from(list(out) if isinstance(out, dict) else range(len(out))))
+        if isinstance(out, dict) and draw(st.integers(0, 3)) == 0:
+            del out[key]
+        else:
+            out[key] = draw(mutated_json(value[key]))
+        return out
+    return draw(OTHER_VALUES.filter(lambda v: type(v) is not type(value)))
+
+
+@st.composite
+def mutated_jsonl(draw, data: bytes):
+    records = [json.loads(line) for line in data.decode().splitlines()]
+    i = draw(st.integers(0, len(records) - 1))
+    records[i] = draw(mutated_json(records[i]))
+    return "".join(json.dumps(r) + "\n" for r in records).encode()
+
+
+@st.composite
+def mutated_tsv(draw, data: bytes):
+    lines = data.decode().splitlines()
+    rows = [i for i, line in enumerate(lines) if line and not line.startswith("#")]
+    i = draw(st.sampled_from(rows))
+    fields = lines[i].split("\t")
+    j = draw(st.integers(0, len(fields) - 1))
+    if draw(st.booleans()):
+        del fields[j]
+    else:
+        fields[j] = draw(st.text(max_size=6))
+    lines[i] = "\t".join(fields)
+    return ("\n".join(lines) + "\n").encode()
+
+
+def mutated_document(data: bytes):
+    return mutated_json(json.loads(data)).map(lambda value: json.dumps(value).encode())
+
+
+FIELD_MUTATIONS = {
+    "config": mutated_document,
+    "corpus": mutated_jsonl,
+    "lexicon": mutated_tsv,
+    "seeds": mutated_jsonl,
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_targets(workdir):
+    """reader -> (valid bytes, file the mutation goes to, argv, exit code on failure)."""
+    from emoguide.resources import data_path
+
+    root = workdir / "fuzz"
+    root.mkdir()
+    tokens = root / "tokens.txt"
+    tokens.write_text("happy\ncalm\nzzz\n")
+    seeds = root / "seeds.jsonl"
+    chat_config = root / "chat.json"
+    chat_config.write_text(json.dumps({**TINY, "paths": {"seeds": str(seeds)}}))
+    corpus, lexicon, config = root / "corpus.jsonl", root / "lexicon.tsv", root / "config.json"
+    agent, user, out = str(workdir / "agent.ckpt"), str(workdir / "user.ckpt"), str(root / "out")
+    checkpoint = root / "agent.ckpt"
+    return {
+        "checkpoint": (
+            (workdir / "agent.ckpt").read_bytes(),
+            checkpoint,
+            ["selfchat", str(checkpoint), user, str(workdir / "chat_config.json"), "-o", out],
+            1,
+        ),
+        "config": (
+            (workdir / "run.json").read_bytes(), config, ["synth", str(config), "-o", out], 2
+        ),
+        "corpus": (
+            (workdir / "kept.jsonl").read_bytes(),
+            corpus,
+            ["filter", str(corpus), str(workdir / "run.json"), "-o", out],
+            1,
+        ),
+        "lexicon": (
+            data_path("vad_lexicon.tsv").read_bytes(),
+            lexicon,
+            ["lexicon", "stats", str(lexicon), str(tokens)],
+            1,
+        ),
+        "seeds": (
+            (workdir / "seeds.jsonl").read_bytes(),
+            seeds,
+            ["selfchat", agent, user, str(chat_config), "-o", out],
+            1,
+        ),
+    }
+
+
+def _check_mutation(target, data: bytes) -> None:
+    _, path, argv, failure_code = target
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code == failure_code and len(err.getvalue().splitlines()) == 1, (code, err.getvalue())
+
+
+@pytest.mark.parametrize("reader", ["checkpoint", *sorted(FIELD_MUTATIONS)])
+def test_fuzzed_bytes_fail_cleanly(fuzz_targets, reader):
+    target = fuzz_targets[reader]
+
+    @FUZZ
+    @given(byte_mutations(target[0]))
+    def check(data):
+        _check_mutation(target, data)
+
+    check()
+
+
+@pytest.mark.parametrize("reader", sorted(FIELD_MUTATIONS))
+def test_fuzzed_fields_fail_cleanly(fuzz_targets, reader):
+    target = fuzz_targets[reader]
+
+    @FUZZ
+    @given(FIELD_MUTATIONS[reader](target[0]))
+    def check(data):
+        _check_mutation(target, data)
+
+    check()

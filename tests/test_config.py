@@ -122,9 +122,11 @@ def test_builders_produce_validated_objects():
 
 
 def test_builder_value_errors_become_config_errors():
-    bad = RunConfig.from_dict({"train": {"learning_rate": -1.0}})
+    # every section is built at load, so a bad value fails there
     with pytest.raises(ConfigError):
-        bad.train_config()
+        RunConfig.from_dict({"train": {"learning_rate": -1.0}})
+    with pytest.raises(ConfigError):
+        default_run_config().model_config(vocab_size=0)
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"model": {"embed_dim": 0}}).model_config(10)
     with pytest.raises(ConfigError):

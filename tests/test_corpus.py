@@ -27,18 +27,19 @@ from emoguide.corpus import (
     synthesize_corpus,
 )
 from emoguide.polarity import ClassifierParams, PolarityClassifier
-from emoguide.resources import (
-    OFFENSIVE_FILE,
-    data_path,
-    default_filter_rules,
-    default_lexicon,
-)
+from emoguide.config import default_run_config
+from emoguide.resources import OFFENSIVE_FILE, data_path
 from emoguide.vad import VadVector
 
 
 @pytest.fixture(scope="module")
 def lexicon():
-    return default_lexicon()
+    return default_run_config().lexicon()
+
+
+@pytest.fixture(scope="module")
+def rules():
+    return default_run_config().filter_rules()
 
 
 @pytest.fixture(scope="module")
@@ -111,9 +112,9 @@ def test_synthesis_structure():
         assert d.utterances[-1].speaker == "user"
 
 
-def test_synthesis_survives_default_filters(classifier):
+def test_synthesis_survives_default_filters(classifier, rules):
     dialogs = synthesize_corpus(SynthConfig(num_dialogs=200), seed=11)
-    retained, report = filter_dialogs(dialogs, classifier, default_filter_rules())
+    retained, report = filter_dialogs(dialogs, classifier, rules)
     assert report.rejections == (0, 0, 0, 0, 0, 0)
     assert retained == dialogs
 
@@ -148,13 +149,13 @@ def test_synth_config_validation():
 # ----------------------------------------------------------- filtering
 
 
-def test_rule_1_too_short(classifier):
+def test_rule_1_too_short(classifier, rules):
     d = dialog_of(("user", "sad awful day"), ("agent", "warm kind words"))
-    _, report = filter_dialogs([d], classifier, default_filter_rules())
+    _, report = filter_dialogs([d], classifier, rules)
     assert report.rejections == (1, 0, 0, 0, 0, 0)
 
 
-def test_rule_2_unconfident_opener(classifier):
+def test_rule_2_unconfident_opener(classifier, rules):
     d = dialog_of(
         ("user", "good day day"),
         ("agent", "nice warm words"),
@@ -162,39 +163,38 @@ def test_rule_2_unconfident_opener(classifier):
     )
     probs = classifier(d.utterances[0].tokens)
     assert max(probs.as_tuple()) <= 0.5  # genuinely ambiguous opener
-    _, report = filter_dialogs([d], classifier, default_filter_rules())
+    _, report = filter_dialogs([d], classifier, rules)
     assert report.rejections == (0, 1, 0, 0, 0, 0)
 
 
-def test_rule_3_weak_ending(classifier):
+def test_rule_3_weak_ending(classifier, rules):
     d = dialog_of(
         ("user", "sad awful terrible"),
         ("agent", "warm kind words"),
         ("user", "good nice fine"),
     )
     assert classifier(d.utterances[-1].tokens).p_pos <= 0.9
-    _, report = filter_dialogs([d], classifier, default_filter_rules())
+    _, report = filter_dialogs([d], classifier, rules)
     assert report.rejections == (0, 0, 1, 0, 0, 0)
 
 
-def test_rule_4_topic_blocklist(classifier):
+def test_rule_4_topic_blocklist(classifier, rules):
     d = dialog_of(
         ("user", "sad awful terrible"),
         ("agent", "the Invoice deadline looms"),
         ("user", "wonderful happy joy"),
     )
-    _, report = filter_dialogs([d], classifier, default_filter_rules())
+    _, report = filter_dialogs([d], classifier, rules)
     assert report.rejections == (0, 0, 0, 1, 0, 0)
 
 
-def test_rule_5_entity_patterns(classifier):
+def test_rule_5_entity_patterns(classifier, rules):
     cases = [
         "call 555-0199 tonight",
         "Mr. Rogers said hello",
         "ping @someone_22 maybe",
         "dr. hart knows",
     ]
-    rules = default_filter_rules()
     for text in cases:
         d = dialog_of(
             ("user", "sad awful terrible"),
@@ -205,33 +205,32 @@ def test_rule_5_entity_patterns(classifier):
         assert report.rejections == (0, 0, 0, 0, 1, 0), text
 
 
-def test_rule_6_offensive(classifier):
+def test_rule_6_offensive(classifier, rules):
     d = dialog_of(
         ("user", "sad awful terrible"),
         ("agent", "you are not a LOSER"),
         ("user", "wonderful happy joy"),
     )
-    _, report = filter_dialogs([d], classifier, default_filter_rules())
+    _, report = filter_dialogs([d], classifier, rules)
     assert report.rejections == (0, 0, 0, 0, 0, 1)
 
 
-def test_first_failing_rule_wins(classifier):
+def test_first_failing_rule_wins(classifier, rules):
     # violates both the topic and offensive rules; only the earlier one counts
     d = dialog_of(
         ("user", "sad awful terrible"),
         ("agent", "stupid taxes paperwork"),
         ("user", "wonderful happy joy"),
     )
-    _, report = filter_dialogs([d], classifier, default_filter_rules())
+    _, report = filter_dialogs([d], classifier, rules)
     assert report.rejections == (0, 0, 0, 1, 0, 0)
 
 
-def test_filtering_is_idempotent(classifier):
+def test_filtering_is_idempotent(classifier, rules):
     dialogs = synthesize_corpus(SynthConfig(num_dialogs=50), seed=2)
     # splice in violators
     bad = dialog_of(("user", "sad awful day"), ("agent", "warm kind words"))
     mixed = dialogs[:10] + [bad] + dialogs[10:]
-    rules = default_filter_rules()
     retained, report = filter_dialogs(mixed, classifier, rules)
     assert report.input_count == 51 and report.retained_count == 50
     again, report2 = filter_dialogs(retained, classifier, rules)

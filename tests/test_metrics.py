@@ -15,7 +15,7 @@ from emoguide.metrics import (
     peg_score,
     pege_score,
 )
-from emoguide.resources import default_lexicon
+from emoguide.config import default_run_config
 from emoguide.vad import VadVector, load_lexicon
 
 
@@ -112,7 +112,7 @@ def test_e_requires_first_half_agent():
 
 
 def test_e_is_never_positive_on_random_dialogs():
-    lex = default_lexicon()
+    lex = default_run_config().lexicon()
     for d in synthesize_corpus(SynthConfig(num_dialogs=30), seed=17):
         assert -3.0 <= e_score(d, lex) <= 0.0
         assert -1.5 <= peg_score(d, lex) <= 1.5
@@ -297,7 +297,7 @@ def test_evaluate_run_bleu_modes():
 
 
 def test_evaluate_run_is_deterministic():
-    lex = default_lexicon()
+    lex = default_run_config().lexicon()
     dialogs = synthesize_corpus(SynthConfig(num_dialogs=25), seed=13)
     a = evaluate_run(dialogs, lex).to_dict()
     b = evaluate_run(dialogs, lex).to_dict()

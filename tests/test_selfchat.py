@@ -5,7 +5,8 @@ import pytest
 from emoguide.corpus import bank_words
 from emoguide.model import DecodeConfig, ModelConfig, init_model
 from emoguide.polarity import ClassifierParams, PolarityClassifier
-from emoguide.resources import data_path, default_lexicon, SEEDS_FILE
+from emoguide.config import default_run_config
+from emoguide.resources import data_path, SEEDS_FILE
 from emoguide.selfchat import (
     SeedUtterance,
     SelfChatConfig,
@@ -22,7 +23,7 @@ def vocab():
 
 @pytest.fixture(scope="module")
 def classifier():
-    return PolarityClassifier(default_lexicon(), ClassifierParams(neutral_bias=1.0))
+    return PolarityClassifier(default_run_config().lexicon(), ClassifierParams(neutral_bias=1.0))
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,7 @@ from emoguide.corpus import SynthConfig, prepare_training_examples, synthesize_c
 from emoguide.model import ModelConfig, init_model, model_checksum
 from emoguide.objective import PegeConfig
 from emoguide.polarity import ClassifierParams, PolarityClassifier
-from emoguide.resources import default_lexicon
+from emoguide.config import default_run_config
 from emoguide.train import (
     ABLATIONS,
     Adam,
@@ -25,7 +25,7 @@ from emoguide.vocab import EOU, build_vocab
 
 @pytest.fixture(scope="module")
 def lexicon():
-    return default_lexicon()
+    return default_run_config().lexicon()
 
 
 @pytest.fixture(scope="module")
