@@ -2,12 +2,14 @@
 """Regenerate the packaged data fixtures that derive from the word bank.
 
 Writes src/emoguide/data/vad_lexicon.tsv and selfchat_seeds.jsonl.  Both are
-committed; tests assert they stay in sync with the word bank in corpus.py.
+committed; tests/test_corpus.py regenerates them into a temporary directory
+and requires them to be byte-identical to the committed files.
+
+    python scripts/gen_fixtures.py
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
@@ -15,7 +17,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from emoguide.corpus import WORD_BANK, _sample_utterance  # noqa: E402
+from emoguide.corpus import WORD_BANK, _sample_utterance, write_jsonl  # noqa: E402
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "emoguide" / "data"
 
@@ -45,15 +47,16 @@ def seeds_records() -> list[dict]:
     return [records[i] for i in order]
 
 
-def seeds_text() -> str:
-    return "\n".join(json.dumps(r, sort_keys=True) for r in seeds_records()) + "\n"
+def write_fixtures(out_dir: Path) -> list[Path]:
+    lexicon, seeds = out_dir / "vad_lexicon.tsv", out_dir / "selfchat_seeds.jsonl"
+    lexicon.write_text(lexicon_text(), encoding="utf-8")
+    write_jsonl(seeds, seeds_records())
+    return [lexicon, seeds]
 
 
 def main() -> None:
-    (DATA / "vad_lexicon.tsv").write_text(lexicon_text(), encoding="utf-8")
-    (DATA / "selfchat_seeds.jsonl").write_text(seeds_text(), encoding="utf-8")
-    print(f"wrote {DATA / 'vad_lexicon.tsv'}")
-    print(f"wrote {DATA / 'selfchat_seeds.jsonl'}")
+    for path in write_fixtures(DATA):
+        print(f"wrote {path}")
 
 
 if __name__ == "__main__":

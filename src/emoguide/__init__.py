@@ -37,6 +37,7 @@ from .metrics import (
 )
 from .model import (
     DecodeConfig,
+    DecodeState,
     ModelConfig,
     generate,
     init_model,
@@ -65,6 +66,7 @@ __all__ = [
     "ClassifierParams",
     "ConfigError",
     "DecodeConfig",
+    "DecodeState",
     "Dialog",
     "FilterReport",
     "FilterRules",

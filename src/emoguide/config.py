@@ -115,7 +115,7 @@ class RunConfig:
         if not isinstance(raw, dict):
             raise ConfigError(f"config root must be an object, got {type(raw).__name__}")
         data = _merge(_DEFAULTS, raw, crumb="")
-        if not isinstance(data["seed"], int) or data["seed"] < 0:
+        if type(data["seed"]) is not int or data["seed"] < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {data['seed']!r}")
         for key, value in data["paths"].items():
             if value is not None and not isinstance(value, str):

@@ -41,6 +41,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 import numpy as np
 
 from .polarity import NEGATIVE, NEUTRAL, POSITIVE, PolarityClassifier, PolarityDistribution
+from .resources import read_lines
 from .vad import VadVector, tokenize, utterance_mean_vad
 from .vocab import AGENT, USER, encode_emotion_prefix
 
@@ -165,7 +166,7 @@ class SynthConfig:
     max_words: int = 7
 
     def __post_init__(self) -> None:
-        if not isinstance(self.num_dialogs, int) or self.num_dialogs < 1:
+        if type(self.num_dialogs) is not int or self.num_dialogs < 1:
             raise ValueError(f"num_dialogs must be positive, got {self.num_dialogs!r}")
         lo, hi = self.turns_range
         if lo < 3 or hi < lo:
@@ -176,8 +177,9 @@ class SynthConfig:
             mix = getattr(self, name)
             if len(mix) != 3 or any(not math.isfinite(w) or w < 0 for w in mix) or sum(mix) <= 0:
                 raise ValueError(f"{name} must be 3 nonnegative weights, got {mix!r}")
-        if self.min_words < 1 or self.max_words < self.min_words:
-            raise ValueError("need 1 <= min_words <= max_words")
+        words = (self.min_words, self.max_words)
+        if any(type(n) is not int for n in words) or not 1 <= self.min_words <= self.max_words:
+            raise ValueError(f"need integers 1 <= min_words <= max_words, got {words!r}")
 
 
 def apportion(weights: Sequence[float], total: int) -> list[int]:
@@ -504,28 +506,27 @@ def read_jsonl(path, parse: Callable[[dict], T]) -> tuple[dict | None, list[T]]:
     ValueError naming the path and the line.
     """
     meta, items = None, []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except (RecursionError, json.JSONDecodeError):  # nesting too deep, or not JSON
-                raise ValueError(f"{path}: line {line_no}: invalid JSON") from None
-            try:
-                if not isinstance(record, dict):
-                    raise ValueError(f"expected a JSON object, got {type(record).__name__}")
-                if meta is None and not items and "meta" in record:
-                    meta = record["meta"]
-                    if not isinstance(meta, dict):
-                        raise ValueError("meta must be an object")
-                else:
-                    items.append(parse(record))
-            except KeyError as exc:
-                raise ValueError(f"{path}: line {line_no}: missing key {exc}") from None
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: line {line_no}: {exc}") from None
+    for line_no, line in enumerate(read_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except (RecursionError, json.JSONDecodeError):  # nesting too deep, or not JSON
+            raise ValueError(f"{path}: line {line_no}: invalid JSON") from None
+        try:
+            if not isinstance(record, dict):
+                raise ValueError(f"expected a JSON object, got {type(record).__name__}")
+            if meta is None and not items and "meta" in record:
+                meta = record["meta"]
+                if not isinstance(meta, dict):
+                    raise ValueError("meta must be an object")
+            else:
+                items.append(parse(record))
+        except KeyError as exc:
+            raise ValueError(f"{path}: line {line_no}: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: line {line_no}: {exc}") from None
     return meta, items
 
 
@@ -559,10 +560,5 @@ def read_corpus_meta(path) -> dict | None:
 
 def load_blocklist(path) -> list[str]:
     """One entry per line; blank lines and '#' comments are skipped."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            entry = line.strip()
-            if entry and not entry.startswith("#"):
-                out.append(entry)
-    return out
+    entries = (line.strip() for line in read_lines(path))
+    return [entry for entry in entries if entry and not entry.startswith("#")]

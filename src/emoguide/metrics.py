@@ -126,7 +126,7 @@ def distinct_n(utterances: Sequence, n: int) -> float:
     """Distinct n-grams divided by total n-grams, pooled over utterances.
     n-grams never cross utterance boundaries.
     """
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     grams = [g for u in utterances for g in _ngrams(_as_tokens(u), n)]
     if not grams:

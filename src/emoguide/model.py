@@ -41,7 +41,7 @@ class ModelConfig:
     def __post_init__(self) -> None:
         for name in ("vocab_size", "embed_dim", "hidden_dim", "num_layers", "context_window"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if type(value) is not int or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
     def to_dict(self) -> dict:
@@ -253,11 +253,11 @@ class DecodeConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("greedy", "top_k"):
             raise ValueError(f"unknown decode mode {self.mode!r}")
-        if not isinstance(self.k, int) or self.k < 1:
+        if type(self.k) is not int or self.k < 1:
             raise ValueError(f"k must be a positive integer, got {self.k!r}")
         if not math.isfinite(self.temperature) or self.temperature <= 0.0:
             raise ValueError(f"temperature must be positive, got {self.temperature!r}")
-        if not isinstance(self.max_tokens, int) or self.max_tokens < 0:
+        if type(self.max_tokens) is not int or self.max_tokens < 0:
             raise ValueError(f"max_tokens must be nonnegative, got {self.max_tokens!r}")
 
 
@@ -271,6 +271,16 @@ def _decode_step(p: dict, layers: list, hs: list[np.ndarray], token_id: int) -> 
     return x @ p["out_w"] + p["out_b"]
 
 
+@dataclass
+class DecodeState:
+    """The token ids one model has been fed and each layer's hidden state
+    after them.  ``generate`` replaces both fields together, so they always
+    match; a state belongs to the one model it was passed with."""
+
+    ids: tuple[int, ...] = ()
+    hs: tuple[np.ndarray, ...] = ()
+
+
 def generate(
     model: Model,
     context_ids: Sequence[int],
@@ -279,21 +289,35 @@ def generate(
     eou_id: int | None = None,
     forbidden_ids: Sequence[int] = (),
     rng: np.random.Generator | None = None,
+    state: DecodeState | None = None,
 ) -> list[int]:
     """Decode token ids after ``context_ids`` until <eou> or max_tokens.
 
     ``forbidden_ids`` are masked at every step; ``eou_id`` additionally at the
     first step so generated utterances are never empty.  As temperature -> 0,
     top_k sampling converges to the greedy choice.
+
+    With a ``state`` whose ids ``context_ids`` strictly extends, only the new
+    suffix is fed; any other context starts from zeros, as a call without a
+    state does.  The state then holds the context plus the emitted ids (<eou>
+    is never fed).  Each token takes the same step either way, so the output
+    does not depend on the state.
     """
     ctx = _check_ids(context_ids, model.config.vocab_size, model.config.context_window)[0]
     if decode.mode == "top_k" and rng is None:
         raise ValueError("top_k decoding needs an rng")
     p, n_layers = model.params, model.config.num_layers
     layers = [_gates(p, layer) for layer in range(n_layers)]
-    hs = [np.zeros(model.config.hidden_dim, dtype=model.dtype) for _ in range(n_layers)]
-    for token in ctx:
-        logits = _decode_step(p, layers, hs, int(token))
+    ctx = ctx.tolist()
+    state = state or DecodeState()
+    fed = len(state.ids)
+    if 0 < fed < len(ctx) and tuple(ctx[:fed]) == state.ids:
+        hs = list(state.hs)
+    else:
+        fed = 0
+        hs = [np.zeros(model.config.hidden_dim, dtype=model.dtype) for _ in range(n_layers)]
+    for token in ctx[fed:]:
+        logits = _decode_step(p, layers, hs, token)
     out: list[int] = []
     forbidden = list(forbidden_ids)
     for step in range(decode.max_tokens):
@@ -317,6 +341,7 @@ def generate(
             break
         out.append(choice)
         logits = _decode_step(p, layers, hs, choice)
+    state.ids, state.hs = (*ctx, *out), tuple(hs)
     return out
 
 

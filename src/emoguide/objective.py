@@ -58,7 +58,7 @@ class PegeConfig:
             raise ValueError(f"alpha must be a nonnegative real, got {self.alpha!r}")
         if not math.isfinite(self.beta) or self.beta < 0.0:
             raise ValueError(f"beta must be a nonnegative real, got {self.beta!r}")
-        if not isinstance(self.max_turn, int) or self.max_turn < 1:
+        if type(self.max_turn) is not int or self.max_turn < 1:
             raise ValueError(f"max_turn must be a positive integer, got {self.max_turn!r}")
         if len(self.peg_baseline) != 3 or any(
             not math.isfinite(b) or not 0.0 <= b <= 1.0 for b in self.peg_baseline
@@ -83,9 +83,9 @@ def dialog_progress(context_turns: int, max_turn: int = 7) -> float:
     Starts at +1 (mirror the opener's emotion), crosses zero mid-dialog, and
     saturates at -1 (drive away from it).
     """
-    if not isinstance(context_turns, int) or context_turns < 0:
+    if type(context_turns) is not int or context_turns < 0:
         raise ValueError(f"context_turns must be a nonnegative integer, got {context_turns!r}")
-    if not isinstance(max_turn, int) or max_turn < 1:
+    if type(max_turn) is not int or max_turn < 1:
         raise ValueError(f"max_turn must be a positive integer, got {max_turn!r}")
     ratio = min(context_turns, max_turn) / max_turn
     return math.cos(math.pi * ratio)

@@ -4,7 +4,9 @@ Each seed utterance opens a dialog as the user's first turn.  The opener's
 polarity is classified once, quantized into the two-token emotion prefix,
 and kept in front of the agent's (and user's) context for every turn, the
 same conditioning the models saw in training.  Turns then alternate
-agent/user until 2*turns utterances exist, the seed included.
+agent/user until 2*turns utterances exist, the seed included.  Each dialog
+keeps one decode state per model, so a reply feeds only the tokens added
+since that model last spoke.
 
 Dialogs are independent, so an optional thread pool can run them
 concurrently; per-dialog, per-turn seeded generators keep sampling
@@ -20,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Dialog, Utterance, read_jsonl
-from .model import DecodeConfig, Model, generate
+from .model import DecodeConfig, DecodeState, Model, generate
 from .polarity import NEGATIVE, NEUTRAL, POSITIVE, PolarityClassifier
 from .vad import tokenize
 from .vocab import AGENT, AGT, EOU, USER, USR, Vocab, assemble_stream, encode_emotion_prefix
@@ -61,9 +63,9 @@ class SelfChatConfig:
         object.__setattr__(self, "seeds", tuple(self.seeds))
         if not self.seeds:
             raise ValueError("need at least one seed utterance")
-        if not isinstance(self.turns, int) or self.turns < 1:
+        if type(self.turns) is not int or self.turns < 1:
             raise ValueError(f"turns must be a positive integer, got {self.turns!r}")
-        if not isinstance(self.rng_seed, int) or self.rng_seed < 0:
+        if type(self.rng_seed) is not int or self.rng_seed < 0:
             raise ValueError(f"rng_seed must be a nonnegative integer, got {self.rng_seed!r}")
         if self.decode.max_tokens < 1:
             raise ValueError("self-chat needs decode.max_tokens >= 1")
@@ -86,6 +88,9 @@ def _run_dialog(
 
     utterances = [Utterance(USER, " ".join(opener))]
     segments = [[marker[USER], *vocab.encode(opener), eou_id]]
+    # each model's context extends what it was fed last turn until
+    # assemble_stream drops a segment, so it feeds only the new tokens
+    states = {AGENT: DecodeState(), USER: DecodeState()}
     for position in range(1, 2 * config.turns):
         speaker = AGENT if position % 2 == 1 else USER
         model = agent_model if speaker == AGENT else user_model
@@ -104,6 +109,7 @@ def _run_dialog(
             eou_id=eou_id,
             forbidden_ids=forbidden,
             rng=rng,
+            state=states[speaker],
         )
         words = [vocab.tokens[t] for t in ids]
         utterances.append(Utterance(speaker, " ".join(words)))
@@ -131,7 +137,7 @@ def self_chat(
             raise ValueError(f"{name} model has no attached vocabulary")
     if agent_model.vocab.tokens != user_model.vocab.tokens:
         raise ValueError("agent and user models use different vocabularies")
-    if not isinstance(threads, int) or threads < 1:
+    if type(threads) is not int or threads < 1:
         raise ValueError(f"threads must be a positive integer, got {threads!r}")
 
     def run(item):

@@ -45,9 +45,9 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if not math.isfinite(self.learning_rate) or self.learning_rate <= 0.0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate!r}")
-        if not isinstance(self.batch_size, int) or self.batch_size < 1:
+        if type(self.batch_size) is not int or self.batch_size < 1:
             raise ValueError(f"batch_size must be a positive integer, got {self.batch_size!r}")
-        if not isinstance(self.max_steps, int) or self.max_steps < 1:
+        if type(self.max_steps) is not int or self.max_steps < 1:
             raise ValueError(f"max_steps must be a positive integer, got {self.max_steps!r}")
         if self.ablation not in ABLATIONS:
             raise ValueError(f"ablation must be one of {ABLATIONS}, got {self.ablation!r}")

@@ -18,6 +18,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .resources import read_lines
+
 NEUTRAL_MIDPOINT = (0.5, 0.5, 0.5)
 
 _WORD_RE = re.compile(r"[\w']+")
@@ -124,15 +126,9 @@ def load_lexicon_file(
     Blank lines and lines starting with '#' are ignored.  Row numbers in error
     messages refer to physical lines in the file, and messages name the file.
     """
-
-    def rows():
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                stripped = line.strip()
-                if stripped and not stripped.startswith("#"):
-                    yield line_no, stripped.split("\t")
-
-    return _build_lexicon(rows(), default, source=path)
+    lines = enumerate((line.strip() for line in read_lines(path)), start=1)
+    rows = ((n, line.split("\t")) for n, line in lines if line and not line.startswith("#"))
+    return _build_lexicon(rows, default, source=path)
 
 
 def _build_lexicon(numbered_records, default: VadVector, source=None) -> VadLexicon:

@@ -313,6 +313,17 @@ INVALID_CONFIGS = {
     "temperature_huge_int": '{"classifier": {"temperature": 1%s}}' % ("0" * 400),
     "not_utf8": b'{"seed": "\xff"}',
     "nested_too_deep": "[" * 100_000,
+    # JSON booleans are not integers, and word counts are integers
+    "seed_true": '{"seed": true}',
+    "max_steps_true": '{"train": {"max_steps": true}}',
+    "batch_size_true": '{"train": {"batch_size": true}}',
+    "hidden_dim_true": '{"model": {"hidden_dim": true}}',
+    "max_turn_true": '{"objective": {"max_turn": true}}',
+    "num_dialogs_true": '{"synth": {"num_dialogs": true}}',
+    "turns_true": '{"selfchat": {"turns": true}}',
+    "max_tokens_true": '{"selfchat": {"decode": {"max_tokens": true}}}',
+    "min_words_float": '{"synth": {"num_dialogs": 3, "min_words": 1.5}}',
+    "max_words_float": '{"synth": {"max_words": 7.0}}',
 }
 
 
@@ -417,6 +428,42 @@ def test_bad_lexicon_row_names_the_file(workdir, tmp_path, capsys):
     assert main(["lexicon", "stats", str(lexicon), str(tokens)]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {lexicon}: row 3: "), err
+
+
+NOT_UTF8_LINES = {  # reader -> (a valid first line, a second line holding a Latin-1 é)
+    "blocklist": ("invoice", "caf\xe9"),
+    "corpus": (
+        '{"source_id": "ok", "utterances": [%s]}' % GOOD_UTTERANCE,
+        '{"source_id": "caf\xe9", "utterances": [%s]}' % GOOD_UTTERANCE,
+    ),
+    "lexicon": ("happy\t0.9\t0.6\t0.6", "caf\xe9\t0.5\t0.5\t0.5"),
+    "seeds": (
+        '{"text": "good day", "polarity": "positive"}',
+        '{"text": "caf\xe9 day", "polarity": "neutral"}',
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(NOT_UTF8_LINES))
+def test_input_that_is_not_utf8_names_the_file_and_line(workdir, tmp_path, capsys, reader):
+    bad = tmp_path / "input"
+    bad.write_bytes(("%s\n%s\n" % NOT_UTF8_LINES[reader]).encode("latin-1"))
+    config = tmp_path / "config.json"
+    paths = {"blocklist": {"topic_blocklist": str(bad)}, "seeds": {"seeds": str(bad)}}
+    config.write_text(json.dumps({**TINY, "paths": paths.get(reader, {})}))
+    tokens = tmp_path / "tokens.txt"
+    tokens.write_text("happy\n")
+    out = str(tmp_path / "out")
+    agent, user = str(workdir / "agent.ckpt"), str(workdir / "user.ckpt")
+    argv = {
+        "blocklist": ["filter", str(workdir / "kept.jsonl"), str(config), "-o", out],
+        "corpus": ["filter", str(bad), str(config), "-o", out],
+        "lexicon": ["lexicon", "stats", str(bad), str(tokens)],
+        "seeds": ["selfchat", agent, user, str(config), "-o", out],
+    }[reader]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {bad}: line 2: not UTF-8"), err
 
 
 def test_corrupt_corpus_exits_1(workdir, tmp_path, capsys):

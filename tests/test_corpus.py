@@ -1,6 +1,8 @@
 """Corpus generation, filtering, and training-prep behavior."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from emoguide.corpus import (
 )
 from emoguide.polarity import ClassifierParams, PolarityClassifier
 from emoguide.config import default_run_config
-from emoguide.resources import OFFENSIVE_FILE, data_path
+from emoguide.resources import OFFENSIVE_FILE, data_path, read_lines
 from emoguide.vad import VadVector
 
 
@@ -360,6 +362,13 @@ def test_load_blocklist_skips_comments():
     assert entries == [e.strip() for e in entries]
 
 
+def test_read_lines_locates_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_bytes(b"ok\r\nok\r" * 2000 + b"caf\xe9\n")  # past the text reader's first chunk
+    with pytest.raises(ValueError, match=r"big.txt: line 4001: not UTF-8 \(byte 14003\)$"):
+        list(read_lines(path))
+
+
 def test_dialog_validation():
     with pytest.raises(ValueError):
         dialog_of(("agent", "hello there"))
@@ -367,3 +376,12 @@ def test_dialog_validation():
         dialog_of(("user", "hi there"), ("user", "again more"))
     with pytest.raises(ValueError):
         Utterance("user", "!!!")
+
+
+def test_packaged_fixtures_match_their_generator(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "gen_fixtures.py"
+    spec = importlib.util.spec_from_file_location("gen_fixtures", script)
+    gen_fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_fixtures)
+    for path in gen_fixtures.write_fixtures(tmp_path):
+        assert path.read_bytes() == data_path(path.name).read_bytes(), path.name

@@ -3,9 +3,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import emoguide.model as model_mod
 from emoguide.model import (
     CKPT_MAGIC,
     DecodeConfig,
+    DecodeState,
     Model,
     ModelConfig,
     backward,
@@ -176,6 +178,73 @@ def test_generate_contracts():
     # eou masked on the first step: utterance is never empty
     out2 = generate(m, [1], DecodeConfig(max_tokens=6), eou_id=int(np.argmax(forward(m, [1])[-1])))
     assert len(out2) >= 1
+
+
+def _count_steps(monkeypatch) -> list[int]:
+    """Record the token of every ``_decode_step`` call from here on."""
+    fed = []
+
+    def counting(p, layers, hs, token_id):
+        fed.append(token_id)
+        return _decode_step(p, layers, hs, token_id)
+
+    monkeypatch.setattr(model_mod, "_decode_step", counting)
+    return fed
+
+
+def _encode(m, ids) -> list[np.ndarray]:
+    """Each layer's hidden state after feeding ``ids`` from zeros."""
+    layers = [_gates(m.params, layer) for layer in range(m.config.num_layers)]
+    hs = [np.zeros(m.config.hidden_dim, dtype=m.dtype) for _ in layers]
+    for token in ids:
+        _decode_step(m.params, layers, hs, token)
+    return hs
+
+
+def _assert_state_is_scratch_encoding(m, state):
+    assert len(state.hs) == m.config.num_layers
+    for got, want in zip(state.hs, _encode(m, state.ids)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("mode", ["greedy", "top_k"])
+def test_carried_state_feeds_only_the_new_suffix(monkeypatch, mode):
+    m = init_model(TINY, seed=5)
+    decode = DecodeConfig(mode=mode, k=3, max_tokens=4)
+    state = DecodeState()
+    ctx = [1, 2, 4]
+    for turn in range(4):
+        stateless = generate(m, ctx, decode, eou_id=3, rng=np.random.default_rng(turn))
+        held = len(state.ids)
+        fed = _count_steps(monkeypatch)
+        out = generate(m, ctx, decode, eou_id=3, rng=np.random.default_rng(turn), state=state)
+        monkeypatch.undo()
+        assert out == stateless
+        assert fed == ctx[held:] + out  # every emitted id is fed, <eou> never
+        assert state.ids == (*ctx, *out)
+        _assert_state_is_scratch_encoding(m, state)
+        ctx = [*ctx, *out, 3, 6, 5]  # <eou>, then the next utterance's tokens
+
+
+@pytest.mark.parametrize("edit", ["drop_middle", "change_prefix", "equal"])
+def test_state_resets_unless_the_context_extends_it(monkeypatch, edit):
+    m = init_model(TINY, seed=5)
+    decode = DecodeConfig(max_tokens=3)
+    state = DecodeState()
+    generate(m, [1, 2, 4, 5, 6, 2], decode, eou_id=3, state=state)
+    held = list(state.ids)
+    ctx = {
+        "drop_middle": held[:2] + held[4:] + [6],
+        "change_prefix": [(held[0] + 1) % TINY.vocab_size] + held[1:] + [6],
+        "equal": held,
+    }[edit]
+    stateless = generate(m, ctx, decode, eou_id=3)
+    fed = _count_steps(monkeypatch)
+    out = generate(m, ctx, decode, eou_id=3, state=state)
+    assert out == stateless
+    assert fed == ctx + out
+    assert state.ids == (*ctx, *out)
+    _assert_state_is_scratch_encoding(m, state)
 
 
 def test_top_k_temperature_limit_is_greedy():

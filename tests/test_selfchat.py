@@ -1,7 +1,11 @@
 """Self-chat protocol: roles, lengths, determinism, and seed handling."""
 
+from dataclasses import replace
+
 import pytest
 
+import emoguide.model as model_mod
+from emoguide import selfchat
 from emoguide.corpus import bank_words
 from emoguide.model import DecodeConfig, ModelConfig, init_model
 from emoguide.polarity import ClassifierParams, PolarityClassifier
@@ -144,6 +148,50 @@ def test_threads_do_not_change_results(models, classifier):
     assert self_chat(agent, user, config, classifier, threads=1) == self_chat(
         agent, user, config, classifier, threads=3
     )
+
+
+def _stateless(model, context_ids, decode, *, state=None, **kwargs):
+    """``generate`` as called before decode states: every context from zeros."""
+    return model_mod.generate(model, context_ids, decode, **kwargs)
+
+
+@pytest.mark.parametrize("window", [128, 40])
+@pytest.mark.parametrize(
+    "decode", [DecodeConfig(), DecodeConfig(mode="top_k", k=4)], ids=["greedy", "top_k"]
+)
+def test_carried_decode_state_keeps_transcripts(models, classifier, monkeypatch, window, decode):
+    agent, user = (
+        replace(m, config=replace(m.config, context_window=window)) for m in models
+    )
+    config = SelfChatConfig(seeds=SEEDS, turns=6, decode=decode, rng_seed=5)
+    carried = self_chat(agent, user, config, classifier)
+    monkeypatch.setattr(selfchat, "generate", _stateless)
+    assert carried == self_chat(agent, user, config, classifier)
+    if window == 40:  # the stream outgrew the window, so assemble_stream dropped segments
+        assert all(sum(len(u.tokens) + 2 for u in d.utterances) + 2 > 40 for d in carried)
+
+
+def test_each_model_feeds_each_stream_token_once(models, classifier, monkeypatch):
+    agent, user = models
+    fed = {id(agent.params): 0, id(user.params): 0}
+
+    def counting(p, layers, hs, token_id):
+        fed[id(p)] += 1
+        return decode_step(p, layers, hs, token_id)
+
+    decode_step = model_mod._decode_step
+    monkeypatch.setattr(model_mod, "_decode_step", counting)
+    for seed in SEEDS:
+        fed.update(dict.fromkeys(fed, 0))
+        config = SelfChatConfig(seeds=(seed,), turns=4)  # stays inside the 128-token window
+        (dialog,) = self_chat(agent, user, config, classifier)
+        lengths = [len(u.tokens) for u in dialog.utterances]
+        for model, last in ((agent, len(lengths) - 1), (user, len(lengths) - 2)):
+            # prefix, every segment before this model's last reply, then that
+            # reply's marker and tokens (its <eou> is never fed)
+            stream = 2 + sum(n + 2 for n in lengths[:last]) + 1 + lengths[last]
+            assert stream <= model.config.context_window
+            assert fed[id(model.params)] == stream
 
 
 # ------------------------------------------------------------ failures
