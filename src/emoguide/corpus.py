@@ -290,7 +290,7 @@ class FilterRules:
     def __post_init__(self) -> None:
         for name in ("first_utt_threshold", "last_utt_pos_threshold"):
             v = getattr(self, name)
-            if not math.isfinite(v) or not 0.0 < v < 1.0:
+            if isinstance(v, bool) or not math.isfinite(v) or not 0.0 < v < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {v!r}")
         object.__setattr__(self, "topic_blocklist", frozenset(self.topic_blocklist))
         object.__setattr__(self, "offensive_blocklist", frozenset(self.offensive_blocklist))

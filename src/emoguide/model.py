@@ -6,6 +6,13 @@ forward/backward passes; parameters are float32 by default (pass
 ``dtype=np.float64`` at init for gradient-checking).  Identical seeds give
 bit-identical parameters.
 
+A batch of streams runs packed (``pack``): sorted longest first and laid out
+time-major, the rows of step t are the streams still running at t, so the
+GRU steps only those rows and no padded position is ever computed.  The
+readout computes logits only at the packed rows the caller asks for (in
+training, the rows that predict response tokens), and backward() takes the
+loss gradient at those rows alone.
+
 Checkpoints are a single binary file: a magic string, a JSON header (config,
 step count, optional vocabulary and config hash, parameter manifest) followed
 by the raw little-endian float32 parameter buffers in manifest order.  A
@@ -147,95 +154,132 @@ def _check_ids(ids, vocab_size: int, window: int) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def _forward_cached(model: Model, ids: np.ndarray):
-    """Run the stack, returning logits plus everything backward() needs."""
-    p = model.params
-    cfg = model.config
-    B, L = ids.shape
-    x = p["emb"][ids]  # (B, L, D)
+def pack(streams: Sequence[np.ndarray], spans: Sequence[tuple[int, int]]):
+    """Lay out token streams, sorted longest first, as one packed batch.
+
+    The layout is that of PyTorch's ``PackedSequence``: time-major, and the
+    rows of step t are one contiguous slice holding the n_t streams still
+    running at t, in stream order.  Only real positions get a row, so no
+    padding is computed.  ``spans[i]`` is the [start, stop) range of stream
+    i's positions whose logits are wanted.
+
+    Returns (ids, batch_sizes, readout): the packed ids, n_t for every step,
+    and the packed rows of the wanted positions, stream by stream.
+    """
+    lengths = np.array([len(s) for s in streams])
+    if lengths.size == 0 or lengths[-1] < 1 or np.any(lengths[1:] > lengths[:-1]):
+        raise ValueError("streams must be nonempty and sorted longest first")
+    active = np.arange(lengths[0])[:, None] < lengths  # (L, B): stream i runs at step t
+    grid = np.zeros(active.shape, dtype=np.int64)
+    for i, stream in enumerate(streams):
+        grid[: len(stream), i] = stream
+    batch_sizes = active.sum(axis=1)
+    starts = np.cumsum(batch_sizes) - batch_sizes  # first row of each step
+    readout = np.concatenate([starts[lo:hi] + i for i, (lo, hi) in enumerate(spans)])
+    return grid[active], batch_sizes, readout
+
+
+def _forward_cached(model: Model, ids: np.ndarray, batch_sizes: np.ndarray, readout: np.ndarray):
+    """Run the stack over a packed batch (see ``pack``); returns the logits at
+    the packed rows ``readout`` plus everything backward() needs.
+
+    Step t runs the GRU on its n_t active rows only: the streams are sorted
+    longest first, so those are the first n_t rows of the previous hidden
+    state.  The projections in and out run over real positions only, and the
+    readout over the ``readout`` rows only.
+    """
+    p, H = model.params, model.config.hidden_dim
+    # (first row, row count) of every step
+    steps = list(zip((np.cumsum(batch_sizes) - batch_sizes).tolist(), batch_sizes.tolist()))
+    x = p["emb"][ids]  # (N, D), one row per real position
     layers = []
-    for layer in range(cfg.num_layers):
+    for layer in range(model.config.num_layers):
         w, u, b = _gates(p, layer)
-        # input-to-hidden products for the whole sequence in one GEMM per gate
+        # input-to-hidden products for every position in one GEMM per gate
         a_x = [x @ w_g + b_g for w_g, b_g in zip(w, b)]
-        z, r, c, h = (np.empty((B, L, cfg.hidden_dim), dtype=x.dtype) for _ in range(4))
-        h_prev = np.zeros((B, cfg.hidden_dim), dtype=x.dtype)
-        for t in range(L):
-            z[:, t], r[:, t], c[:, t], h_prev = _gru_cell([a[:, t] for a in a_x], h_prev, u)
-            h[:, t] = h_prev
+        z, r, c, h = (np.empty((len(ids), H), dtype=x.dtype) for _ in range(4))
+        h_prev = np.zeros((steps[0][1], H), dtype=x.dtype)
+        for lo, n in steps:
+            rows = slice(lo, lo + n)
+            z[rows], r[rows], c[rows], h_prev = _gru_cell([a[rows] for a in a_x], h_prev[:n], u)
+            h[rows] = h_prev
         layers.append({"x": x, "z": z, "r": r, "c": c, "h": h, "layer": layer})
         x = h
-    logits = x @ p["out_w"] + p["out_b"]
-    return logits, {"ids": ids, "layers": layers, "top": x}
+    logits = x[readout] @ p["out_w"] + p["out_b"]
+    cache = {"ids": ids, "steps": steps, "readout": readout, "layers": layers, "top": x}
+    return logits, cache
 
 
 def forward(model: Model, ids) -> np.ndarray:
     """Causal logits for every position; shape mirrors the input batch shape."""
     arr = _check_ids(ids, model.config.vocab_size, model.config.context_window)
-    logits, _ = _forward_cached(model, arr)
+    B, L = arr.shape
+    logits, _ = _forward_cached(model, *pack(arr, [(0, L)] * B))
+    logits = logits.reshape(B, L, -1)
     return logits[0] if np.asarray(ids).ndim == 1 else logits
 
 
-def _rows(a: np.ndarray) -> np.ndarray:
-    """(B, L, N) -> (B*L, N): one row per position, for a single 2-D GEMM."""
-    return a.reshape(-1, a.shape[-1])
-
-
-def _layer_backward(params: dict, cache: dict, dh_out: np.ndarray):
-    """Backward through one GRU layer given d(loss)/d(h_t) for every t."""
+def _layer_backward(params: dict, cache: dict, dh_out: np.ndarray, steps):
+    """Backward through one GRU layer given d(loss)/d(h) at every packed row."""
     layer = cache["layer"]
     x, z, r, c, h = cache["x"], cache["z"], cache["r"], cache["c"], cache["h"]
     w, u, _ = _gates(params, layer)
     # contiguous copies, made once, instead of a transposed view per GEMM per step
     u_zT, u_rT, u_cT = (np.ascontiguousarray(u_g.T) for u_g in u)
-    B, L, H = dh_out.shape
     da_z, da_r, da_c = (np.empty_like(z) for _ in range(3))
-    dh_next = zeros = np.zeros((B, H), dtype=x.dtype)
-    for t in reversed(range(L)):
-        h_prev = h[:, t - 1] if t > 0 else zeros
-        dh = dh_out[:, t] + dh_next
-        zt, rt, ct = z[:, t], r[:, t], c[:, t]
+    h_shift = np.zeros_like(h)  # each row's recurrent input h_{t-1}; zero at t = 0
+    # d(loss)/d(h_{t-1}) per stream.  A stream's row stays zero until the
+    # loop reaches its last step, so its backward starts at its own end.
+    dh_next = np.zeros((steps[0][1], h.shape[1]), dtype=x.dtype)
+    for t in reversed(range(len(steps))):
+        lo, n = steps[t]
+        rows = slice(lo, lo + n)
+        if t > 0:  # the stream's row one step earlier; the streams still running come first
+            h_shift[rows] = h[steps[t - 1][0] : steps[t - 1][0] + n]
+        h_prev = h_shift[rows]
+        dh = dh_out[rows] + dh_next[:n]
+        zt, rt, ct = z[rows], r[rows], c[rows]
         dct = dh * zt
         dat_c = dct * (1.0 - ct * ct)
         dzt = dh * (ct - h_prev)
         dat_z = dzt * zt * (1.0 - zt)
-        dh_next = dh * (1.0 - zt)  # becomes d(loss)/d(h_{t-1})
+        dh_prev = np.multiply(dh, 1.0 - zt, out=dh_next[:n])  # becomes d(loss)/d(h_{t-1})
         drh = dat_c @ u_cT
-        dh_next += drh * rt
+        dh_prev += drh * rt
         drt = drh * h_prev
         dat_r = drt * rt * (1.0 - rt)
-        dh_next += dat_z @ u_zT
-        dh_next += dat_r @ u_rT
-        da_z[:, t], da_r[:, t], da_c[:, t] = dat_z, dat_r, dat_c
+        dh_prev += dat_z @ u_zT
+        dh_prev += dat_r @ u_rT
+        da_z[rows], da_r[rows], da_c[rows] = dat_z, dat_r, dat_c
 
-    # batched weight gradients; h shifted right one step is the recurrent input
-    h_shift = np.concatenate([np.zeros((B, 1, H), dtype=x.dtype), h[:, :-1]], axis=1)
+    # weight gradients over every real position at once
     rh = r * h_shift
-    x2, da = _rows(x), [_rows(a) for a in (da_z, da_r, da_c)]
     grads = {}
-    for gate, da_g, h_in in zip("zrc", da, (h_shift, h_shift, rh)):
-        grads[f"l{layer}.w_{gate}"] = x2.T @ da_g
-        grads[f"l{layer}.u_{gate}"] = _rows(h_in).T @ da_g
+    for gate, da_g, h_in in zip("zrc", (da_z, da_r, da_c), (h_shift, h_shift, rh)):
+        grads[f"l{layer}.w_{gate}"] = x.T @ da_g
+        grads[f"l{layer}.u_{gate}"] = h_in.T @ da_g
         grads[f"l{layer}.b_{gate}"] = da_g.sum(axis=0)
-    dx = da[0] @ w[0].T + da[1] @ w[1].T + da[2] @ w[2].T
-    return dx.reshape(B, L, -1), grads
+    dx = da_z @ w[0].T + da_r @ w[1].T + da_c @ w[2].T
+    return dx, grads
 
 
 def backward(model: Model, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-    """Parameter gradients for d(loss)/d(logits); pairs with _forward_cached."""
+    """Parameter gradients for d(loss)/d(logits) at the readout rows; pairs
+    with _forward_cached."""
     p = model.params
-    top = cache["top"]
+    top, readout = cache["top"], cache["readout"]
     dlogits = dlogits.astype(top.dtype, copy=False)
     grads: dict[str, np.ndarray] = {
-        "out_w": _rows(top).T @ _rows(dlogits),
-        "out_b": dlogits.sum(axis=(0, 1)),
+        "out_w": top[readout].T @ dlogits,
+        "out_b": dlogits.sum(axis=0),
     }
-    dh = (_rows(dlogits) @ p["out_w"].T).reshape(*top.shape)
+    dh = np.zeros_like(top)
+    dh[readout] = dlogits @ p["out_w"].T
     for layer_cache in reversed(cache["layers"]):
-        dh, layer_grads = _layer_backward(p, layer_cache, dh)
+        dh, layer_grads = _layer_backward(p, layer_cache, dh, cache["steps"])
         grads.update(layer_grads)
     d_emb = np.zeros_like(p["emb"])
-    np.add.at(d_emb, cache["ids"].ravel(), _rows(dh))
+    np.add.at(d_emb, cache["ids"], dh)
     grads["emb"] = d_emb
     return grads
 
@@ -255,7 +299,8 @@ class DecodeConfig:
             raise ValueError(f"unknown decode mode {self.mode!r}")
         if type(self.k) is not int or self.k < 1:
             raise ValueError(f"k must be a positive integer, got {self.k!r}")
-        if not math.isfinite(self.temperature) or self.temperature <= 0.0:
+        t = self.temperature  # a real number; a JSON boolean is not one
+        if isinstance(t, bool) or not math.isfinite(t) or t <= 0.0:
             raise ValueError(f"temperature must be positive, got {self.temperature!r}")
         if type(self.max_tokens) is not int or self.max_tokens < 0:
             raise ValueError(f"max_tokens must be nonnegative, got {self.max_tokens!r}")

@@ -54,14 +54,15 @@ class PegeConfig:
     peg_baseline: tuple[float, float, float] = (0.5, 0.5, 0.5)
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.alpha) or self.alpha < 0.0:
+        if isinstance(self.alpha, bool) or not math.isfinite(self.alpha) or self.alpha < 0.0:
             raise ValueError(f"alpha must be a nonnegative real, got {self.alpha!r}")
-        if not math.isfinite(self.beta) or self.beta < 0.0:
+        if isinstance(self.beta, bool) or not math.isfinite(self.beta) or self.beta < 0.0:
             raise ValueError(f"beta must be a nonnegative real, got {self.beta!r}")
         if type(self.max_turn) is not int or self.max_turn < 1:
             raise ValueError(f"max_turn must be a positive integer, got {self.max_turn!r}")
-        if len(self.peg_baseline) != 3 or any(
-            not math.isfinite(b) or not 0.0 <= b <= 1.0 for b in self.peg_baseline
+        baseline = self.peg_baseline
+        if len(baseline) != 3 or any(
+            isinstance(b, bool) or not math.isfinite(b) or not 0.0 <= b <= 1.0 for b in baseline
         ):
             raise ValueError(f"peg_baseline must lie in the unit cube, got {self.peg_baseline!r}")
 
@@ -91,11 +92,12 @@ def dialog_progress(context_turns: int, max_turn: int = 7) -> float:
     return math.cos(math.pi * ratio)
 
 
-def _as_vad_array(u1_mean) -> np.ndarray:
+def _as_vad_array(u1_mean, steps: int | None = None) -> np.ndarray:
+    """A VAD point (3,); with ``steps``, one point per step (steps, 3) also passes."""
     if isinstance(u1_mean, VadVector):
         return u1_mean.to_array()
     arr = np.asarray(u1_mean, dtype=np.float64)
-    if arr.shape != (3,):
+    if arr.shape != (3,) and (steps is None or arr.shape != (steps, 3)):
         raise ValueError(f"expected a 3-dim VAD point, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0:
         raise ValueError("VAD point must lie in the unit cube")
@@ -177,28 +179,51 @@ def nll_loss(logits: np.ndarray, targets) -> float:
     return float(-logp[np.arange(arr.shape[0]), ids].sum())
 
 
+def _per_row(u1_mean, polarity, context_turns, steps: int, max_turn: int):
+    """The opener mean VAD, (3,) or (T, 3), and each row's p_pos, p_neg and
+    progress (T,).  Each argument is one value for every row or a sequence
+    of one per row."""
+    u1 = _as_vad_array(u1_mean, steps)
+    pols = [polarity] * steps if isinstance(polarity, PolarityDistribution) else list(polarity)
+    if len(pols) != steps or not all(isinstance(p, PolarityDistribution) for p in pols):
+        raise ValueError(f"expected a PolarityDistribution or one per step ({steps})")
+    turns = np.asarray(context_turns)
+    if turns.shape not in ((), (steps,)) or not np.issubdtype(turns.dtype, np.integer):
+        raise ValueError(f"expected an integer context turn count or one per step ({steps})")
+    if turns.min() < 0:
+        raise ValueError(f"context_turns must be nonnegative, got {context_turns!r}")
+    # the scalar schedule's own values, so a row's progress does not depend on the call
+    table = np.array([dialog_progress(c, max_turn) for c in range(max_turn + 1)])
+    progress = np.broadcast_to(table[np.minimum(turns, max_turn)], (steps,))
+    p_pos = np.array([p.p_pos for p in pols])
+    p_neg = np.array([p.p_neg for p in pols])
+    return u1, p_pos, p_neg, progress
+
+
 def pege_loss(
     logits: np.ndarray,
     targets,
     u1_mean,
-    polarity: PolarityDistribution,
-    context_turns: int,
+    polarity,
+    context_turns,
     matrix: VadMatrix,
     config: PegeConfig = PegeConfig(),
 ) -> LossBreakdown:
     """Composite loss with its analytic gradient w.r.t. the logits.
 
     ``targets`` are the teacher-forced response token ids, ``u1_mean`` the
-    opener's mean VAD, ``polarity`` the opener's polarity distribution and
-    ``context_turns`` the number of utterances in the conversation context
-    (fixed for all steps of one example).
+    opener's mean VAD, ``polarity`` the opener's PolarityDistribution and
+    ``context_turns`` the number of utterances in the conversation context.
+    Each of these three is one value for every row of ``logits`` or a
+    sequence of one per row, so the response steps of a whole batch of
+    examples go through one call; the components are sums over all rows.
     """
     arr = _check_logits(logits)
     T, V = arr.shape
     if matrix.vocab_size != V:
         raise ValueError(f"VAD matrix rows {matrix.vocab_size} != vocab size {V}")
     ids = _check_targets(targets, T, V)
-    u1 = _as_vad_array(u1_mean)
+    u1, p_pos, p_neg, progress = _per_row(u1_mean, polarity, context_turns, T, config.max_turn)
 
     logp = log_softmax(arr)
     s = np.exp(logp)  # (T, V)
@@ -211,13 +236,11 @@ def pege_loss(
     nrm_sq = np.einsum("ij,ij->i", e, e)
     nrms = np.sqrt(nrm_sq)
 
-    progress = dialog_progress(context_turns, config.max_turn)
-    p_pos, p_neg = polarity.p_pos, polarity.p_neg
     w_peg = p_pos + (1.0 - p_pos) * progress
 
     nll = float(-logp[np.arange(T), ids].sum())
     peg = float(np.sum(p_pos * eds + (1.0 - p_pos) * progress * eds))
-    ner = float(p_neg * nrms.sum())
+    ner = float(np.sum(p_neg * nrms))
     total = nll + config.alpha * peg - config.beta * ner
 
     # Gradient.  For a norm term n(h) = ||A s(h)|| the chain rule gives
@@ -230,13 +253,13 @@ def pege_loss(
     u_p = diff / ed_guard[:, None]  # (T, 3)
     g_p = u_p @ m.T  # (T, V)
     dot_p = np.einsum("ij,ij->i", s, g_p)
-    grad += config.alpha * w_peg * s * (g_p - dot_p[:, None])
+    grad += (config.alpha * w_peg)[:, None] * s * (g_p - dot_p[:, None])
 
     nrm_guard = np.sqrt(nrm_sq + NORM_GUARD)
     u_n = e / nrm_guard[:, None]
     g_n = u_n @ m.T
     dot_n = np.einsum("ij,ij->i", s, g_n)
-    grad -= config.beta * p_neg * s * (g_n - dot_n[:, None])
+    grad -= (config.beta * p_neg)[:, None] * s * (g_n - dot_n[:, None])
 
     return LossBreakdown(nll=nll, peg=peg, ner=ner, total=total, grad_logits=grad)
 
@@ -282,30 +305,47 @@ def gradient_check_suite(
 ) -> float:
     """Worst finite-difference relative error across random small problems.
 
-    Each case draws logits (T <= 4, V <= 16), targets, a VAD row matrix,
-    an opener mean, and a polarity distribution, then compares the analytic
-    composite-loss gradient against central differences.
+    Each case draws a VAD row matrix (V <= 16) and one to three examples,
+    each with its own response steps (T <= 4), targets, opener mean,
+    polarity distribution and context turn count.  All examples' rows go
+    through one call, as in training, and each example's rows of that call's
+    analytic gradient are compared against central differences.
     """
     if cases < 1:
         raise ValueError(f"cases must be positive, got {cases!r}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(cases):
-        T = int(rng.integers(1, 5))
         V = int(rng.integers(4, 17))
-        logits = rng.normal(0.0, 2.0, size=(T, V))
-        targets = rng.integers(0, V, size=T)
         matrix = VadMatrix(values=rng.uniform(0.0, 1.0, size=(V, 3)), listed=V)
-        u1_mean = rng.uniform(0.0, 1.0, size=3)
-        p = rng.dirichlet((1.0, 1.0, 1.0))
-        polarity = PolarityDistribution(float(p[0]), float(p[1]), float(p[2]))
-        context_turns = int(rng.integers(0, 10))
+        examples = []  # (logits, targets, u1_mean, polarity, context_turns)
+        for _ in range(int(rng.integers(1, 4))):
+            T = int(rng.integers(1, 5))
+            p = rng.dirichlet((1.0, 1.0, 1.0))
+            examples.append((
+                rng.normal(0.0, 2.0, size=(T, V)),
+                rng.integers(0, V, size=T),
+                rng.uniform(0.0, 1.0, size=3),
+                PolarityDistribution(float(p[0]), float(p[1]), float(p[2])),
+                int(rng.integers(0, 10)),
+            ))
+        logits, targets, u1_mean, polarity, turns = zip(*examples)
+        row = np.repeat(np.arange(len(examples)), [len(x) for x in logits])  # each row's example
         analytic = pege_loss(
-            logits, targets, u1_mean, polarity, context_turns, matrix, config
+            np.concatenate(logits),
+            np.concatenate(targets),
+            np.array(u1_mean)[row],
+            [polarity[i] for i in row],
+            np.array(turns)[row],
+            matrix,
+            config,
         ).grad_logits
+        # each example's rows of the one call against differences of that
+        # example's own loss, whose smaller value keeps their rounding small
+        for i, (x0, *args) in enumerate(examples):
 
-        def loss_at(x, _t=targets, _u=u1_mean, _p=polarity, _c=context_turns, _m=matrix):
-            return pege_loss(x, _t, _u, _p, _c, _m, config).total
+            def loss_at(x, _args=args, _m=matrix):
+                return pege_loss(x, *_args, _m, config).total
 
-        worst = max(worst, finite_diff_check(loss_at, logits, analytic, eps))
+            worst = max(worst, finite_diff_check(loss_at, x0, analytic[row == i], eps))
     return worst

@@ -51,9 +51,10 @@ class ClassifierParams:
     neutral_bias: float = 0.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.temperature) or self.temperature <= 0.0:
+        t = self.temperature  # real numbers; a JSON boolean is not one
+        if isinstance(t, bool) or not math.isfinite(t) or t <= 0.0:
             raise ValueError(f"temperature must be positive, got {self.temperature!r}")
-        if not math.isfinite(self.neutral_bias):
+        if isinstance(self.neutral_bias, bool) or not math.isfinite(self.neutral_bias):
             raise ValueError("neutral_bias must be finite")
 
 

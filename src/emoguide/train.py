@@ -1,10 +1,13 @@
 """Training loop: teacher forcing with the composite objective.
 
 Examples are encoded once into id streams; each step samples a batch,
-runs the recurrent stack, computes the composite loss and its analytic
-gradient over the response positions only (float64), and backpropagates
-through the model (model dtype, float32 by default) with a hand-rolled
-Adam update.
+sorts it by stream length (longest first) and packs it (``model.pack``), so
+the recurrent stack computes no padding.  Logits are computed only at the
+rows that predict response tokens, and all of the batch's response rows go
+through one composite-loss call (float64), each row with its own example's
+opener, polarity and context turns.  The gradient at those rows is
+backpropagated through the model (model dtype, float32 by default) and
+applied with a hand-rolled Adam update.
 
 Ablations zero the objective weights: ``nll_only`` drops both guidance
 terms, ``peg_only_composite`` keeps nll + alpha*peg, ``ner_only_composite``
@@ -22,8 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import TrainingExample
-from .model import Model, _forward_cached, backward
-from .objective import LossBreakdown, PegeConfig, nll_loss, pege_loss
+from .model import Model, _forward_cached, backward, pack
+from .objective import PegeConfig, nll_loss, pege_loss
 from .vad import VadLexicon, VadMatrix, align_vocab
 from .vocab import Vocab, assemble_stream, utterance_segment
 
@@ -43,7 +46,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.learning_rate) or self.learning_rate <= 0.0:
+        lr = self.learning_rate  # a real number; a JSON boolean is not one
+        if isinstance(lr, bool) or not math.isfinite(lr) or lr <= 0.0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate!r}")
         if type(self.batch_size) is not int or self.batch_size < 1:
             raise ValueError(f"batch_size must be a positive integer, got {self.batch_size!r}")
@@ -120,12 +124,18 @@ def encode_example(ex: TrainingExample, vocab: Vocab, window: int) -> EncodedExa
     )
 
 
-def _pad_batch(batch: Sequence[EncodedExample], pad_id: int) -> np.ndarray:
-    width = max(len(e.ids) for e in batch)
-    ids = np.full((len(batch), width), pad_id, dtype=np.int64)
-    for i, e in enumerate(batch):
-        ids[i, : len(e.ids)] = e.ids
-    return ids
+def _pack_batch(batch: Sequence[EncodedExample]):
+    """Sort ``batch`` by stream length, longest first, and pack it.
+
+    Returns the sorted batch, the packed ids and batch sizes (see
+    ``model.pack``), the packed rows whose logits predict the response
+    tokens, and those tokens, example by example.
+    """
+    batch = sorted(batch, key=lambda e: -len(e.ids))
+    spans = [(e.resp_start - 1, len(e.ids) - 1) for e in batch]
+    ids, batch_sizes, readout = pack([e.ids for e in batch], spans)
+    targets = np.concatenate([e.ids[e.resp_start :] for e in batch])
+    return batch, ids, batch_sizes, readout, targets
 
 
 @dataclass(frozen=True)
@@ -151,33 +161,32 @@ def _batch_losses(
     batch: Sequence[EncodedExample],
     matrix: VadMatrix,
     config: PegeConfig,
-    with_grad: bool,
 ):
-    """Forward a padded batch; per-example composite losses over response steps.
+    """Forward a packed batch; the composite loss over every response step of
+    the batch in one ``pege_loss`` call.
 
-    Returns (mean breakdown tuple, dlogits or None, cache or None).
+    Returns (mean breakdown tuple, dlogits at the response rows, cache).
     """
-    pad_id = 0
-    ids = _pad_batch(batch, pad_id)
-    logits, cache = _forward_cached(model, ids)
+    batch, ids, batch_sizes, readout, targets = _pack_batch(batch)
+    logits, cache = _forward_cached(model, ids, batch_sizes, readout)
+    # logits exist at the response rows only; the hidden states cover the rest
+    if not np.isfinite(cache["top"]).all():
+        raise TrainingDivergedError("non-finite hidden states in forward pass")
     if not np.isfinite(logits).all():
         raise TrainingDivergedError("non-finite logits in forward pass")
-    dlogits = np.zeros_like(logits) if with_grad else None
-    sums = np.zeros(4, dtype=np.float64)  # nll, peg, ner, total
+    steps = [e.steps for e in batch]
+    bd = pege_loss(
+        logits.astype(np.float64),
+        targets,
+        np.repeat([e.u1_mean for e in batch], steps, axis=0),
+        [e.polarity for e in batch for _ in range(e.steps)],
+        np.repeat([e.context_turns for e in batch], steps),
+        matrix,
+        config,
+    )
     B = len(batch)
-    for i, e in enumerate(batch):
-        L = len(e.ids)
-        rows = slice(e.resp_start - 1, L - 1)
-        step_logits = logits[i, rows].astype(np.float64)
-        targets = e.ids[e.resp_start :]
-        bd = pege_loss(
-            step_logits, targets, e.u1_mean, e.polarity, e.context_turns, matrix, config
-        )
-        sums += (bd.nll, bd.peg, bd.ner, bd.total)
-        if with_grad:
-            dlogits[i, rows] = bd.grad_logits / B
-    mean = sums / B
-    return mean, dlogits, cache
+    mean = np.array([bd.nll, bd.peg, bd.ner, bd.total]) / B
+    return mean, bd.grad_logits / B, cache
 
 
 def train(
@@ -207,9 +216,7 @@ def train(
         pick = rng.choice(len(encoded), size=config.batch_size, replace=False)
         batch = [encoded[j] for j in pick]
         try:
-            (nll, peg, ner, total), dlogits, cache = _batch_losses(
-                model, batch, matrix, effective, with_grad=True
-            )
+            (nll, peg, ner, total), dlogits, cache = _batch_losses(model, batch, matrix, effective)
         except TrainingDivergedError as exc:
             raise TrainingDivergedError(f"step {step}: {exc}") from None
         if not math.isfinite(total):
@@ -233,10 +240,7 @@ def evaluate_nll(
     encoded = [encode_example(ex, model.vocab, window) for ex in examples]
     total = 0.0
     for lo in range(0, len(encoded), chunk_size):
-        batch = encoded[lo : lo + chunk_size]
-        ids = _pad_batch(batch, 0)
-        logits, _ = _forward_cached(model, ids)
-        for i, e in enumerate(batch):
-            rows = logits[i, e.resp_start - 1 : len(e.ids) - 1].astype(np.float64)
-            total += nll_loss(rows, e.ids[e.resp_start :])
+        _, ids, batch_sizes, readout, targets = _pack_batch(encoded[lo : lo + chunk_size])
+        logits, _ = _forward_cached(model, ids, batch_sizes, readout)
+        total += nll_loss(logits.astype(np.float64), targets)
     return total / len(encoded)

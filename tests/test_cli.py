@@ -324,6 +324,15 @@ INVALID_CONFIGS = {
     "max_tokens_true": '{"selfchat": {"decode": {"max_tokens": true}}}',
     "min_words_float": '{"synth": {"num_dialogs": 3, "min_words": 1.5}}',
     "max_words_float": '{"synth": {"max_words": 7.0}}',
+    # nor are they real numbers
+    "learning_rate_true": '{"train": {"learning_rate": true}}',
+    "alpha_true": '{"objective": {"alpha": true}}',
+    "beta_true": '{"objective": {"beta": true}}',
+    "decode_temperature_true": '{"selfchat": {"decode": {"temperature": true}}}',
+    "classifier_temperature_true": '{"classifier": {"temperature": true}}',
+    "neutral_bias_true": '{"classifier": {"neutral_bias": true}}',
+    "first_utt_threshold_true": '{"filters": {"first_utt_threshold": true}}',
+    "last_utt_pos_threshold_true": '{"filters": {"last_utt_pos_threshold": true}}',
 }
 
 

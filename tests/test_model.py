@@ -21,6 +21,7 @@ from emoguide.model import (
     init_model,
     load_checkpoint,
     model_checksum,
+    pack,
     save_checkpoint,
 )
 from emoguide.vocab import build_vocab
@@ -83,16 +84,11 @@ def test_causality():
     assert not np.allclose(after[3:], base[3:])
 
 
-def test_backward_matches_finite_differences():
-    # float64 end-to-end; scalar loss = <R, logits> so dL/dlogits = R
-    m = init_model(TINY, seed=7).astype(np.float64)
-    rng = np.random.default_rng(0)
-    ids = rng.integers(0, TINY.vocab_size, size=(2, 5))
-    R = rng.normal(size=(2, 5, TINY.vocab_size))
-
-    logits, cache = _forward_cached(m, ids)
+def _worst_fd_error(m, ids, batch_sizes, readout, R) -> float:
+    """Worst relative error of backward() against central differences of the
+    scalar loss <R, logits>, so that dL/dlogits = R."""
+    _, cache = _forward_cached(m, ids, batch_sizes, readout)
     grads = backward(m, cache, R)
-
     eps = 1e-6
     worst = 0.0
     for name, param in m.params.items():
@@ -101,9 +97,9 @@ def test_backward_matches_finite_differences():
             idx = it.multi_index
             orig = param[idx]
             param[idx] = orig + eps
-            f_plus = float((R * _forward_cached(m, ids)[0]).sum())
+            f_plus = float((R * _forward_cached(m, ids, batch_sizes, readout)[0]).sum())
             param[idx] = orig - eps
-            f_minus = float((R * _forward_cached(m, ids)[0]).sum())
+            f_minus = float((R * _forward_cached(m, ids, batch_sizes, readout)[0]).sum())
             param[idx] = orig
             numeric = (f_plus - f_minus) / (2 * eps)
             analytic = float(grads[name][idx])
@@ -111,7 +107,109 @@ def test_backward_matches_finite_differences():
             worst = max(worst, rel)
             assert rel <= 1e-4, f"{name}{idx}: analytic {analytic} vs numeric {numeric}"
             it.iternext()
-    assert worst < 1e-5
+    return worst
+
+
+def test_backward_matches_finite_differences():
+    # float64 end-to-end, two streams of equal length, logits at every position
+    m = init_model(TINY, seed=7).astype(np.float64)
+    rng = np.random.default_rng(0)
+    ids = rng.integers(0, TINY.vocab_size, size=(2, 5))
+    R = rng.normal(size=(10, TINY.vocab_size))
+    assert _worst_fd_error(m, *pack(ids, [(0, 5)] * 2), R) < 1e-5
+
+
+def test_packed_backward_matches_finite_differences():
+    # streams of different lengths (so rows leave the batch at different
+    # steps), with logits read at a subset of each stream's positions
+    m = init_model(TINY, seed=8).astype(np.float64)
+    rng = np.random.default_rng(1)
+    streams = [rng.integers(0, TINY.vocab_size, size=n) for n in (6, 4, 4, 1)]
+    ids, batch_sizes, readout = pack(streams, [(2, 5), (0, 4), (3, 4), (0, 1)])
+    assert batch_sizes.tolist() == [4, 3, 3, 3, 1, 1] and len(ids) == 15
+    R = rng.normal(size=(len(readout), TINY.vocab_size))
+    # the README's 1e-4 contract; at eps 1e-6 the worst coordinate, a 1e-5
+    # gradient, reads 1.8e-5 from the differences' own rounding
+    assert _worst_fd_error(m, ids, batch_sizes, readout, R) <= 1e-4
+
+
+def test_pack_layout():
+    streams = [np.array([1, 2, 3]), np.array([4, 5]), np.array([6])]
+    ids, batch_sizes, readout = pack(streams, [(1, 3), (0, 2), (0, 0)])
+    assert ids.tolist() == [1, 4, 6, 2, 5, 3]  # step by step, stream order within a step
+    assert batch_sizes.tolist() == [3, 2, 1]
+    assert ids[readout].tolist() == [2, 3, 4, 5]
+    with pytest.raises(ValueError):
+        pack(streams[::-1], [(0, 1)] * 3)  # not longest first
+    with pytest.raises(ValueError):
+        pack([np.array([1]), np.array([], dtype=np.int64)], [(0, 1), (0, 0)])
+
+
+def _padded_reference_grads(m, streams, spans, R):
+    """The padded path packing replaced, kept as its reference: every stream
+    padded with id 0 to the longest, the GRU run over every (row, step), and
+    dlogits zero everywhere but the read positions."""
+    p, B, L = m.params, len(streams), max(len(s) for s in streams)
+    ids = np.zeros((B, L), dtype=np.int64)
+    dlogits = np.zeros((B, L, m.config.vocab_size))
+    k = 0
+    for i, (stream, (lo, hi)) in enumerate(zip(streams, spans)):
+        ids[i, : len(stream)] = stream
+        dlogits[i, lo:hi] = R[k : k + hi - lo]
+        k += hi - lo
+    x, caches = p["emb"][ids], []
+    for layer in range(m.config.num_layers):
+        w, u, b = _gates(p, layer)
+        a_x = [x @ w_g + b_g for w_g, b_g in zip(w, b)]
+        z, r, c, h = (np.empty((B, L, m.config.hidden_dim)) for _ in range(4))
+        h_prev = np.zeros((B, m.config.hidden_dim))
+        for t in range(L):
+            a_t = [a[:, t] for a in a_x]
+            z[:, t], r[:, t], c[:, t], h_prev = model_mod._gru_cell(a_t, h_prev, u)
+            h[:, t] = h_prev
+        caches.append((layer, x, z, r, c, h))
+        x = h
+    grads = {"out_w": np.einsum("blh,blv->hv", x, dlogits), "out_b": dlogits.sum(axis=(0, 1))}
+    dh_out = dlogits @ p["out_w"].T
+    for layer, x, z, r, c, h in reversed(caches):
+        w, u, _ = _gates(p, layer)
+        h_shift = np.concatenate([np.zeros((B, 1, h.shape[2])), h[:, :-1]], axis=1)
+        da = [np.empty_like(z) for _ in range(3)]
+        dh_next = np.zeros((B, h.shape[2]))
+        for t in reversed(range(L)):
+            dh = dh_out[:, t] + dh_next
+            zt, rt, ct, h_prev = z[:, t], r[:, t], c[:, t], h_shift[:, t]
+            da_c = dh * zt * (1.0 - ct * ct)
+            da_z = dh * (ct - h_prev) * zt * (1.0 - zt)
+            drh = da_c @ u[2].T
+            da_r = drh * h_prev * rt * (1.0 - rt)
+            dh_next = dh * (1.0 - zt) + drh * rt + da_z @ u[0].T + da_r @ u[1].T
+            da[0][:, t], da[1][:, t], da[2][:, t] = da_z, da_r, da_c
+        for gate, da_g, h_in in zip("zrc", da, (h_shift, h_shift, r * h_shift)):
+            grads[f"l{layer}.w_{gate}"] = np.einsum("bld,blh->dh", x, da_g)
+            grads[f"l{layer}.u_{gate}"] = np.einsum("blk,blh->kh", h_in, da_g)
+            grads[f"l{layer}.b_{gate}"] = da_g.sum(axis=(0, 1))
+        dh_out = sum(da_g @ w_g.T for da_g, w_g in zip(da, w))
+    grads["emb"] = np.zeros_like(p["emb"])
+    np.add.at(grads["emb"], ids.ravel(), dh_out.reshape(B * L, -1))
+    return grads
+
+
+def test_packed_gradients_match_padded_reference():
+    m = init_model(TINY, seed=12).astype(np.float64)
+    rng = np.random.default_rng(4)
+    lengths = sorted(rng.integers(1, TINY.context_window + 1, size=9).tolist(), reverse=True)
+    streams = [rng.integers(1, TINY.vocab_size, size=n) for n in lengths]
+    spans = [(int(rng.integers(0, n)), n) for n in lengths]
+    ids, batch_sizes, readout = pack(streams, spans)
+    R = rng.normal(size=(len(readout), TINY.vocab_size))
+    _, cache = _forward_cached(m, ids, batch_sizes, readout)
+    packed = backward(m, cache, R)
+    reference = _padded_reference_grads(m, streams, spans, R)
+    assert packed.keys() == reference.keys()
+    for name, ref in reference.items():
+        err = np.abs(packed[name] - ref).max()
+        assert err <= 1e-12 * np.abs(ref).max(), f"{name}: {err}"
 
 
 def test_incremental_decode_matches_full_forward():

@@ -227,6 +227,53 @@ def test_pege_loss_validation():
         pege_loss(logits, [0] * 3, u1, polarity, turns, mat)
 
 
+def test_per_row_call_equals_per_example_calls():
+    # one call over several examples' rows, each row with its example's
+    # opener, polarity and context turns, sums the examples' own calls
+    rng = np.random.default_rng(17)
+    config = PegeConfig()
+    V = 9
+    mat = matrix_from_rows(rng.uniform(0.0, 1.0, size=(V, 3)))
+    cases = [random_case(rng, V=V)[:5] for _ in range(4)]
+    singles = [pege_loss(*case, mat, config) for case in cases]
+    steps = [len(case[0]) for case in cases]
+    row = np.repeat(np.arange(len(cases)), steps)
+    batched = pege_loss(
+        np.concatenate([c[0] for c in cases]),
+        np.concatenate([c[1] for c in cases]),
+        np.array([c[2] for c in cases])[row],
+        [cases[i][3] for i in row],
+        np.array([c[4] for c in cases])[row],
+        mat,
+        config,
+    )
+    for field in ("nll", "peg", "ner", "total"):
+        expected = sum(getattr(b, field) for b in singles)
+        assert getattr(batched, field) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    expected = np.concatenate([b.grad_logits for b in singles])
+    np.testing.assert_allclose(batched.grad_logits, expected, rtol=1e-12, atol=1e-15)
+
+
+def test_per_row_arguments_are_validated():
+    rng = np.random.default_rng(6)
+    logits, targets, u1, polarity, turns, mat = random_case(rng, T=3, V=4)
+    good = pege_loss(logits, targets, [u1] * 3, [polarity] * 3, [turns] * 3, mat)
+    assert good.total == pytest.approx(pege_loss(logits, targets, u1, polarity, turns, mat).total)
+    bad_rows = [
+        ([u1] * 2, polarity, turns),  # one opener too few
+        (u1, [polarity] * 4, turns),  # one polarity too many
+        (u1, [polarity, polarity, "pos"], turns),
+        (u1, polarity, [turns] * 2),
+        (u1, polarity, [1, -1, 2]),
+        (u1, polarity, [True, False, True]),
+        (u1, polarity, [0.5, 1.0, 2.0]),
+        (np.full((3, 3), 1.5), polarity, turns),  # outside the unit cube
+    ]
+    for args in bad_rows:
+        with pytest.raises(ValueError):
+            pege_loss(logits, targets, *args, mat)
+
+
 def test_grad_is_finite_when_distance_vanishes():
     # identical rows force E[vad] = u1_mean, so every ED_t is exactly zero;
     # the guarded gradient must stay finite and the peg pull must vanish
@@ -277,6 +324,9 @@ def test_finite_diff_check_validation():
 
 
 def test_config_validation():
+    for bad in ({"alpha": True}, {"beta": False}, {"peg_baseline": (True, 0.5, 0.5)}):
+        with pytest.raises(ValueError):
+            PegeConfig(**bad)  # booleans are not real numbers
     with pytest.raises(ValueError):
         PegeConfig(alpha=-1.0)
     with pytest.raises(ValueError):

@@ -6,20 +6,23 @@ import numpy as np
 import pytest
 
 from emoguide.corpus import SynthConfig, prepare_training_examples, synthesize_corpus
-from emoguide.model import ModelConfig, init_model, model_checksum
+from emoguide.model import ModelConfig, backward, init_model, model_checksum
 from emoguide.objective import PegeConfig
-from emoguide.polarity import ClassifierParams, PolarityClassifier
+from emoguide.polarity import ClassifierParams, PolarityClassifier, PolarityDistribution
 from emoguide.config import default_run_config
 from emoguide.train import (
     ABLATIONS,
     Adam,
+    EncodedExample,
     TrainConfig,
     TrainingDivergedError,
+    _batch_losses,
     effective_pege_config,
     encode_example,
     evaluate_nll,
     train,
 )
+from emoguide.vad import align_vocab
 from emoguide.vocab import EOU, build_vocab
 
 
@@ -75,6 +78,8 @@ def test_effective_config_per_ablation():
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
+    with pytest.raises(ValueError):
+        TrainConfig(learning_rate=True)  # a JSON boolean is not a real number
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
@@ -232,6 +237,47 @@ def test_divergence_is_reported(examples, vocab, lexicon):
     with np.errstate(all="ignore"):
         with pytest.raises(TrainingDivergedError):
             train(model, examples, cfg, PegeConfig(), lexicon)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_non_finite_weights_diverge_at_step_1(examples, vocab, lexicon, value):
+    model = small_model(vocab)
+    model.params["l0.u_z"][0, 0] = value
+    cfg = TrainConfig(batch_size=8, max_steps=3, seed=0)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(TrainingDivergedError, match=r"^step 1: "):
+            train(model, examples, cfg, PegeConfig(), lexicon)
+
+
+def test_non_finite_state_the_loss_does_not_read_still_diverges(vocab, lexicon):
+    # logits exist at the response rows only; a NaN state after them must
+    # still stop training, as a NaN logit there did when every row had logits
+    model = small_model(vocab)
+    ids = np.array([5, 6, 7, 8, 9])  # token 9 only at the last position, which predicts nothing
+    model.params["emb"][9] = np.nan
+    ex = EncodedExample(ids, 3, 1, np.full(3, 0.5), PolarityDistribution(0.2, 0.3, 0.5))
+    with pytest.raises(TrainingDivergedError, match="non-finite hidden states"):
+        _batch_losses(model, [ex], align_vocab(lexicon, vocab.tokens), PegeConfig())
+
+
+def test_permuting_a_batch_changes_no_loss_or_gradient(examples, vocab, lexicon):
+    # the batch is sorted by length before packing; ties and summation order
+    # are the only things a permutation can move
+    model = small_model(vocab, seed=2).astype(np.float64)
+    matrix = align_vocab(lexicon, vocab.tokens)
+    batch = [encode_example(ex, vocab, 128) for ex in examples[:24]]
+    assert len({len(e.ids) for e in batch}) < len(batch)  # some lengths tie
+
+    def losses_and_grads(order):
+        mean, dlogits, cache = _batch_losses(model, [batch[i] for i in order], matrix, PegeConfig())
+        return mean, backward(model, cache, dlogits)
+
+    base_mean, base_grads = losses_and_grads(range(len(batch)))
+    for seed in range(3):
+        mean, grads = losses_and_grads(np.random.default_rng(seed).permutation(len(batch)))
+        np.testing.assert_allclose(mean, base_mean, rtol=1e-12)
+        for name, g in base_grads.items():
+            assert np.abs(grads[name] - g).max() <= 1e-12 * np.abs(g).max(), name
 
 
 def test_train_preconditions(examples, vocab, lexicon):
