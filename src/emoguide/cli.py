@@ -25,6 +25,9 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
+from . import objective
 from .config import ConfigError, RunConfig, load_run_config
 from .corpus import (
     corpus_words,
@@ -38,7 +41,6 @@ from .corpus import (
 )
 from .metrics import evaluate_run
 from .model import init_model, load_checkpoint, model_checksum, save_checkpoint
-from .objective import gradient_check_suite
 from .selfchat import load_seed_utterances, self_chat
 from .train import TrainingDivergedError, train
 from .vad import load_lexicon_file
@@ -158,7 +160,10 @@ def cmd_train(args) -> int:
 def cmd_gradcheck(args) -> int:
     config = _load_config(args)
     _echo("gradcheck", config)
-    error = gradient_check_suite(seed=config.seed, cases=args.cases)
+    if np.finfo(objective.REFERENCE_DTYPE).eps >= np.finfo(np.float64).eps:
+        print("note: np.longdouble is float64 on this platform, so the finite-difference "
+              "reference has no extra precision")
+    error = objective.gradient_check_suite(seed=config.seed, cases=args.cases)
     ok = error <= GRADCHECK_TOLERANCE
     print(f"max relative error {error:.6e} over {args.cases} cases "
           f"({'within' if ok else 'EXCEEDS'} {GRADCHECK_TOLERANCE:g})")

@@ -4,7 +4,10 @@ One (configurably stacked) GRU layer over token embeddings with a linear
 readout to vocabulary logits.  Everything is plain numpy with hand-written
 forward/backward passes; parameters are float32 by default (pass
 ``dtype=np.float64`` at init for gradient-checking).  Identical seeds give
-bit-identical parameters.
+bit-identical parameters.  Training and decoding step one GRU cell: z and r
+take one recurrent GEMM and one in-place tanh-form sigmoid (which moved loss
+logs and trained weights in the low bits against the exp form), and the gates
+are joined only while it runs, so parameters and checkpoints stay per gate.
 
 A batch of streams runs packed (``pack``): sorted longest first and laid out
 time-major, the rows of step t are the streams still running at t, so the
@@ -111,30 +114,31 @@ def init_model(
     return Model(config=config, params=params, step_count=0, vocab=vocab)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function; exp only sees -|x| (``np.minimum(x, -x)``, which keeps
-    a NaN's sign), so it cannot overflow.  A saturated gate underflows to 0 or a
-    subnormal by design, so underflow is not reported."""
-    with np.errstate(under="ignore"):
-        e = np.exp(np.minimum(x, -x))
-        d = 1 + e
-        return np.where(x >= 0, 1 / d, e / d)
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function as ``0.5·tanh(0.5·x) + 0.5``, into ``out`` if given; tanh
+    saturates where exp would overflow, so no finite input raises a warning."""
+    out = np.tanh(np.multiply(x, 0.5, out=out), out=out)
+    return np.add(np.multiply(out, 0.5, out=out), 0.5, out=out)
 
 
-def _gates(params: dict, layer: int):
-    """One layer's (w, u, b) parameter triples, each in gate order z, r, c."""
-    return tuple(tuple(params[f"l{layer}.{kind}_{gate}"] for gate in "zrc") for kind in "wub")
+def _layer_weights(params: dict, layer: int):
+    """One layer's gate parameters joined: w_zrc, b_zrc, u_zr (H, 2H) and u_c."""
+    w, u, b = (tuple(params[f"l{layer}.{kind}_{gate}"] for gate in "zrc") for kind in "wub")
+    return np.concatenate(w, axis=1), np.concatenate(b), np.concatenate(u[:2], axis=1), u[2]
 
 
-def _gru_cell(a_x, h_prev: np.ndarray, u):
-    """One GRU step (Cho et al. 2014, arXiv 1406.1078) for training and decoding:
-    ``a_x`` holds the z, r, c input projections ``x @ w + b`` and ``u`` their
-    recurrent weights.  Returns (z, r, c, h)."""
-    (a_z, a_r, a_c), (u_z, u_r, u_c) = a_x, u
-    z = _sigmoid(a_z + h_prev @ u_z)
-    r = _sigmoid(a_r + h_prev @ u_r)
-    c = np.tanh(a_c + (r * h_prev) @ u_c)
-    return z, r, c, (1.0 - z) * h_prev + z * c
+def _gru_cell(zr: np.ndarray, c: np.ndarray, h_prev: np.ndarray, u_zr, u_c) -> np.ndarray:
+    """One GRU step (Cho et al. 2014, arXiv 1406.1078) for training and decoding.
+
+    ``zr`` (..., 2H) and ``c`` (..., H) hold the z|r and candidate input
+    projections ``x @ w + b``; the step overwrites them with the gates, which
+    backward() reads, and returns ``h_prev + z·(c − h_prev)``."""
+    H = h_prev.shape[-1]
+    zr += h_prev @ u_zr  # z and r in one recurrent GEMM and one sigmoid
+    _sigmoid(zr, out=zr)
+    c += (zr[..., H:] * h_prev) @ u_c
+    np.tanh(c, out=c)
+    return h_prev + zr[..., :H] * (c - h_prev)
 
 
 def _check_ids(ids, vocab_size: int, window: int) -> np.ndarray:
@@ -194,16 +198,16 @@ def _forward_cached(model: Model, ids: np.ndarray, batch_sizes: np.ndarray, read
     x = p["emb"][ids]  # (N, D), one row per real position
     layers = []
     for layer in range(model.config.num_layers):
-        w, u, b = _gates(p, layer)
-        # input-to-hidden products for every position in one GEMM per gate
-        a_x = [x @ w_g + b_g for w_g, b_g in zip(w, b)]
-        z, r, c, h = (np.empty((len(ids), H), dtype=x.dtype) for _ in range(4))
+        w, b, u_zr, u_c = _layer_weights(p, layer)
+        # every position's input projections, z|r and c apart so that a step's
+        # rows of each are contiguous; the loop turns them into the gates
+        zr, c = x @ w[:, : 2 * H] + b[: 2 * H], x @ w[:, 2 * H :] + b[2 * H :]
+        h = np.empty((len(ids), H), dtype=x.dtype)
         h_prev = np.zeros((steps[0][1], H), dtype=x.dtype)
         for lo, n in steps:
             rows = slice(lo, lo + n)
-            z[rows], r[rows], c[rows], h_prev = _gru_cell([a[rows] for a in a_x], h_prev[:n], u)
-            h[rows] = h_prev
-        layers.append({"x": x, "z": z, "r": r, "c": c, "h": h, "layer": layer})
+            h[rows] = h_prev = _gru_cell(zr[rows], c[rows], h_prev[:n], u_zr, u_c)
+        layers.append({"x": x, "zr": zr, "c": c, "h": h, "layer": layer})
         x = h
     logits = x[readout] @ p["out_w"] + p["out_b"]
     cache = {"ids": ids, "steps": steps, "readout": readout, "layers": layers, "top": x}
@@ -221,46 +225,41 @@ def forward(model: Model, ids) -> np.ndarray:
 
 def _layer_backward(params: dict, cache: dict, dh_out: np.ndarray, steps):
     """Backward through one GRU layer given d(loss)/d(h) at every packed row."""
-    layer = cache["layer"]
-    x, z, r, c, h = cache["x"], cache["z"], cache["r"], cache["c"], cache["h"]
-    w, u, _ = _gates(params, layer)
+    layer, x, zr, c, h = (cache[k] for k in ("layer", "x", "zr", "c", "h"))
+    H = h.shape[1]
+    w, _, u_zr, u_c = _layer_weights(params, layer)
     # contiguous copies, made once, instead of a transposed view per GEMM per step
-    u_zT, u_rT, u_cT = (np.ascontiguousarray(u_g.T) for u_g in u)
-    da_z, da_r, da_c = (np.empty_like(z) for _ in range(3))
+    u_zrT, u_cT = np.ascontiguousarray(u_zr.T), np.ascontiguousarray(u_c.T)
     h_shift = np.zeros_like(h)  # each row's recurrent input h_{t-1}; zero at t = 0
+    for (lo, n), (lo_prev, _) in zip(steps[1:], steps):  # the streams still running come first
+        h_shift[lo : lo + n] = h[lo_prev : lo_prev + n]
+    da_zr, da_c = np.empty_like(zr), np.empty_like(c)  # d(loss)/d(a_z|a_r), d(loss)/d(a_c)
     # d(loss)/d(h_{t-1}) per stream.  A stream's row stays zero until the
     # loop reaches its last step, so its backward starts at its own end.
-    dh_next = np.zeros((steps[0][1], h.shape[1]), dtype=x.dtype)
-    for t in reversed(range(len(steps))):
-        lo, n = steps[t]
+    dh_next = np.zeros((steps[0][1], H), dtype=x.dtype)
+    for lo, n in reversed(steps):
         rows = slice(lo, lo + n)
-        if t > 0:  # the stream's row one step earlier; the streams still running come first
-            h_shift[rows] = h[steps[t - 1][0] : steps[t - 1][0] + n]
-        h_prev = h_shift[rows]
+        h_prev, zrt, ct, dat_zr = h_shift[rows], zr[rows], c[rows], da_zr[rows]
         dh = dh_out[rows] + dh_next[:n]
-        zt, rt, ct = z[rows], r[rows], c[rows]
-        dct = dh * zt
-        dat_c = dct * (1.0 - ct * ct)
-        dzt = dh * (ct - h_prev)
-        dat_z = dzt * zt * (1.0 - zt)
-        dh_prev = np.multiply(dh, 1.0 - zt, out=dh_next[:n])  # becomes d(loss)/d(h_{t-1})
-        drh = dat_c @ u_cT
-        dh_prev += drh * rt
-        drt = drh * h_prev
-        dat_r = drt * rt * (1.0 - rt)
-        dh_prev += dat_z @ u_zT
-        dh_prev += dat_r @ u_rT
-        da_z[rows], da_r[rows], da_c[rows] = dat_z, dat_r, dat_c
+        dat_c = np.multiply(dh, zrt[:, :H], out=da_c[rows])
+        dh_prev = np.subtract(dh, dat_c, out=dh_next[:n])  # dh·(1 − z); becomes d(loss)/d(h_{t-1})
+        dat_c *= 1.0 - ct * ct
+        drh = dat_c @ u_cT  # d(loss)/d(r·h_{t-1})
+        np.multiply(dh, ct - h_prev, out=dat_zr[:, :H])
+        np.multiply(drh, h_prev, out=dat_zr[:, H:])
+        dat_zr *= zrt  # both gates' sigmoid derivative at once
+        dat_zr *= 1.0 - zrt
+        drh *= zrt[:, H:]
+        dh_prev += drh
+        dh_prev += dat_zr @ u_zrT
 
-    # weight gradients over every real position at once
-    rh = r * h_shift
-    grads = {}
-    for gate, da_g, h_in in zip("zrc", (da_z, da_r, da_c), (h_shift, h_shift, rh)):
-        grads[f"l{layer}.w_{gate}"] = x.T @ da_g
-        grads[f"l{layer}.u_{gate}"] = h_in.T @ da_g
-        grads[f"l{layer}.b_{gate}"] = da_g.sum(axis=0)
-    dx = da_z @ w[0].T + da_r @ w[1].T + da_c @ w[2].T
-    return dx, grads
+    # weight gradients over every real position at once, split back per gate
+    dw = np.concatenate([x.T @ da_zr, x.T @ da_c], axis=1)
+    du = np.concatenate([h_shift.T @ da_zr, (zr[:, H:] * h_shift).T @ da_c], axis=1)
+    db = np.concatenate([da_zr.sum(axis=0), da_c.sum(axis=0)])
+    grads = {f"l{layer}.{kind}_{gate}": g[..., k * H : (k + 1) * H]
+             for kind, g in zip("wub", (dw, du, db)) for k, gate in enumerate("zrc")}
+    return da_zr @ w[:, : 2 * H].T + da_c @ w[:, 2 * H :].T, grads
 
 
 def backward(model: Model, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
@@ -307,12 +306,13 @@ class DecodeConfig:
 
 
 def _decode_step(p: dict, layers: list, hs: list[np.ndarray], token_id: int) -> np.ndarray:
-    """Feed one token; ``layers`` holds each layer's ``_gates`` and ``hs`` its
-    hidden state, updated in place.  Returns the next-token logits."""
+    """Feed one token; ``layers`` holds each layer's ``_layer_weights`` and
+    ``hs`` its hidden state, updated in place.  Returns the next-token logits."""
     x = p["emb"][token_id]
-    for i, (w, u, b) in enumerate(layers):
-        *_, x = _gru_cell([x @ w_g + b_g for w_g, b_g in zip(w, b)], hs[i], u)
-        hs[i] = x
+    for i, (w, b, u_zr, u_c) in enumerate(layers):
+        a = x @ w  # the z|r|c input projections, one GEMV
+        a += b
+        x = hs[i] = _gru_cell(a[: u_zr.shape[1]], a[u_zr.shape[1] :], hs[i], u_zr, u_c)
     return x @ p["out_w"] + p["out_b"]
 
 
@@ -352,7 +352,7 @@ def generate(
     if decode.mode == "top_k" and rng is None:
         raise ValueError("top_k decoding needs an rng")
     p, n_layers = model.params, model.config.num_layers
-    layers = [_gates(p, layer) for layer in range(n_layers)]
+    layers = [_layer_weights(p, layer) for layer in range(n_layers)]
     ctx = ctx.tolist()
     state = state or DecodeState()
     fed = len(state.ids)

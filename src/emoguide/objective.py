@@ -19,7 +19,9 @@ The ner term enters with a negative sign: maximizing the norm of the expected
 VAD pushes probability mass away from near-origin (strongly negative) words
 when the opener is negative.
 
-All math here is float64 and the gradient w.r.t. the logits is hand-derived:
+All math here is float64, or np.longdouble when the logits come in that
+dtype (``finite_diff_check`` evaluates its reference that way), and the
+gradient w.r.t. the logits is hand-derived:
 
   d nll / dh_t = s_t - onehot(y_t)
   d ED_t / dh_t = s_t ⊙ (g - <s_t, g>),   g = M @ (e_t - u1) / ED~_t
@@ -42,6 +44,9 @@ from .polarity import PolarityDistribution
 from .vad import VadMatrix, VadVector, check_distribution
 
 NORM_GUARD = 1e-12
+# finite_diff_check's working dtype: 80-bit extended precision on x86-64
+# Linux, but only float64 on some platforms (e.g. Windows, macOS on arm64)
+REFERENCE_DTYPE = np.longdouble
 
 
 @dataclass(frozen=True)
@@ -69,7 +74,9 @@ class PegeConfig:
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Per-component values plus the analytic gradient w.r.t. the logits."""
+    """Per-component values plus the analytic gradient w.r.t. the logits.
+
+    The values are floats, or np.longdouble scalars for longdouble logits."""
 
     nll: float
     peg: float
@@ -138,7 +145,9 @@ def ner_loss(p_neg: float, dists: Sequence[np.ndarray] | np.ndarray, matrix: Vad
 
 
 def _check_logits(logits: np.ndarray) -> np.ndarray:
-    arr = np.asarray(logits, dtype=np.float64)
+    arr = np.asarray(logits)
+    if arr.dtype != np.longdouble:  # kept, for the finite-difference reference
+        arr = arr.astype(np.float64, copy=False)
     if arr.ndim != 2:
         raise ValueError(f"expected logits of shape (T, V), got {arr.shape}")
     if arr.shape[0] == 0 or arr.shape[1] == 0:
@@ -238,9 +247,10 @@ def pege_loss(
 
     w_peg = p_pos + (1.0 - p_pos) * progress
 
-    nll = float(-logp[np.arange(T), ids].sum())
-    peg = float(np.sum(p_pos * eds + (1.0 - p_pos) * progress * eds))
-    ner = float(np.sum(p_neg * nrms))
+    scalar = float if arr.dtype == np.float64 else arr.dtype.type
+    nll = scalar(-logp[np.arange(T), ids].sum())
+    peg = scalar(np.sum(p_pos * eds + (1.0 - p_pos) * progress * eds))
+    ner = scalar(np.sum(p_neg * nrms))
     total = nll + config.alpha * peg - config.beta * ner
 
     # Gradient.  For a norm term n(h) = ||A s(h)|| the chain rule gives
@@ -274,10 +284,16 @@ def finite_diff_check(
 
     The relative error at each coordinate uses max(|analytic|, |numeric|,
     1e-8) as the denominator so near-zero coordinates do not blow up.
+
+    ``loss_at`` gets a ``REFERENCE_DTYPE`` copy of ``point``, and its values
+    are differenced in that dtype.  The rounding of a loss of tens of nats,
+    divided by 2·eps, is ~1e-10 in float64, enough to put a correct
+    coordinate below ~1e-6 over a 1e-4 bound; in 80-bit longdouble it is
+    ~1e-13.
     """
     if not math.isfinite(eps) or eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps!r}")
-    x = np.asarray(point, dtype=np.float64)
+    x = np.array(point, dtype=REFERENCE_DTYPE)
     g = np.asarray(grad, dtype=np.float64)
     if x.shape != g.shape:
         raise ValueError(f"point shape {x.shape} != grad shape {g.shape}")
@@ -285,14 +301,14 @@ def finite_diff_check(
     for idx in np.ndindex(x.shape):
         orig = x[idx]
         x[idx] = orig + eps
-        f_plus = float(loss_at(x))
+        f_plus = loss_at(x)
         x[idx] = orig - eps
-        f_minus = float(loss_at(x))
+        f_minus = loss_at(x)
         x[idx] = orig
-        if not math.isfinite(f_plus) or not math.isfinite(f_minus):
+        if not np.isfinite(f_plus) or not np.isfinite(f_minus):
             raise ValueError(f"non-finite loss at perturbed point {idx}")
         numeric = (f_plus - f_minus) / (2.0 * eps)
-        rel = abs(g[idx] - numeric) / max(abs(g[idx]), abs(numeric), 1e-8)
+        rel = float(abs(g[idx] - numeric) / max(abs(g[idx]), abs(numeric), 1e-8))
         max_rel = max(max_rel, rel)
     return max_rel
 

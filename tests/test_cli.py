@@ -7,10 +7,12 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emoguide import objective
 from emoguide.cli import main
 from emoguide.corpus import load_corpus, read_corpus_meta
 from emoguide.model import CKPT_MAGIC, checkpoint_config_hash, load_checkpoint
@@ -259,6 +261,16 @@ def test_gradcheck_passes(workdir, capsys):
     out = capsys.readouterr().out
     assert "max relative error" in out
     assert "within" in out
+
+
+def test_gradcheck_says_when_its_reference_has_no_extra_precision(workdir, capsys, monkeypatch):
+    args = ["gradcheck", str(workdir / "run.json"), "--seed", "0", "--cases", "4"]
+    extended = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
+    assert main(args) == 0
+    assert ("no extra precision" in capsys.readouterr().out) is not extended
+    monkeypatch.setattr(objective, "REFERENCE_DTYPE", np.float64)  # as where longdouble is float64
+    assert main(args) == 0
+    assert "no extra precision" in capsys.readouterr().out
 
 
 def test_lexicon_stats(workdir, capsys):

@@ -13,6 +13,7 @@ from emoguide.objective import (
     dialog_progress,
     emotional_distance,
     finite_diff_check,
+    gradient_check_suite,
     ner_loss,
     nll_loss,
     peg_loss,
@@ -300,6 +301,28 @@ def test_gradient_matches_finite_differences():
         got = pege_loss(logits, targets, u1, polarity, turns, mat, config)
         err = finite_diff_check(loss_at, logits, got.grad_logits, eps=1e-5)
         assert err <= 1e-4, f"max relative gradient error {err}"
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+    reason="np.longdouble is float64 here, so the reference has no extra precision",
+)
+def test_gradient_check_suite_has_no_false_alarm_on_seeds_0_to_39():
+    # differences of float64 losses read 6.0e-4 (seed 30) and 1.24e-4 (seed 9)
+    # on these correct gradients, from their own rounding
+    errors = {seed: gradient_check_suite(seed=seed) for seed in range(40)}
+    assert not {seed: e for seed, e in errors.items() if e > 1e-4}
+
+
+def test_longdouble_logits_keep_their_dtype_on_the_loss_path():
+    logits, targets, u1, polarity, turns, mat = random_case(np.random.default_rng(5))
+    wide = pege_loss(logits.astype(np.longdouble), targets, u1, polarity, turns, mat)
+    narrow = pege_loss(logits, targets, u1, polarity, turns, mat)
+    for field in ("nll", "peg", "ner", "total"):
+        assert isinstance(getattr(wide, field), np.longdouble)
+        assert type(getattr(narrow, field)) is float
+        assert getattr(wide, field) == pytest.approx(getattr(narrow, field), rel=1e-12)
+    assert wide.grad_logits.dtype == np.longdouble
 
 
 def test_finite_diff_check_flags_wrong_gradient():
