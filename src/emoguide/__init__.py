@@ -40,6 +40,7 @@ from .model import (
     DecodeState,
     ModelConfig,
     generate,
+    generate_batch,
     init_model,
     load_checkpoint,
     model_checksum,
@@ -101,6 +102,7 @@ __all__ = [
     "evaluate_run",
     "filter_dialogs",
     "generate",
+    "generate_batch",
     "init_model",
     "load_checkpoint",
     "load_corpus",

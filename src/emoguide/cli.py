@@ -273,7 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
     chat.add_argument("user_checkpoint")
     chat.add_argument("config")
     common(chat)
-    chat.add_argument("--threads", type=int, default=1, help="parallel dialogs (1 = sequential)")
+    chat.add_argument(
+        "--threads", type=int, default=1,
+        help="dialog groups decoded in parallel (1 = one lockstep batch, the fastest)",
+    )
     chat.set_defaults(handler=cmd_selfchat)
 
     ev = sub.add_parser("eval", help="score a dialog file")

@@ -8,9 +8,13 @@ agent/user until 2*turns utterances exist, the seed included.  Each dialog
 keeps one decode state per model, so a reply feeds only the tokens added
 since that model last spoke.
 
-Dialogs are independent, so an optional thread pool can run them
-concurrently; per-dialog, per-turn seeded generators keep sampling
-deterministic either way.
+The dialogs of a call run in lockstep: at each position, one
+``generate_batch`` call decodes every dialog's reply, one batched GRU step
+per token.  A row's bits do not depend on the batch, and each (dialog,
+position) pair samples with its own seeded generator, so a dialog is the
+same whichever dialogs share its batch.  ``threads`` splits the seeds into
+contiguous groups decoded on their own threads; smaller groups decode
+slower per dialog.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Dialog, Utterance, read_jsonl
-from .model import DecodeConfig, DecodeState, Model, generate
+from .model import DecodeConfig, DecodeState, Model, generate_batch, join_layers
+from .model import generate  # noqa: F401  perfbench's tracer wraps this name here
 from .polarity import NEGATIVE, NEUTRAL, POSITIVE, PolarityClassifier
 from .vad import tokenize
 from .vocab import AGENT, AGT, EOU, USER, USR, Vocab, assemble_stream, encode_emotion_prefix
@@ -72,52 +77,72 @@ class SelfChatConfig:
 
 
 def _run_dialog(
-    agent_model: Model,
-    user_model: Model,
+    vocab: Vocab,
+    windows: dict[str, int],
     config: SelfChatConfig,
     classifier: PolarityClassifier,
     index: int,
     seed: SeedUtterance,
-) -> Dialog:
-    vocab: Vocab = agent_model.vocab
+):
+    """One dialog, played reply by reply.  Before each reply it yields the
+    speaker, the speaker's context and the reply's rng (None when greedy), and
+    is sent the reply's ids; after the last reply it yields the Dialog."""
     opener = tuple(tokenize(seed.text))
     prefix = encode_emotion_prefix(classifier(opener))
     eou_id = vocab.id(EOU)
-    forbidden = sorted(vocab.structural_ids)
     marker = {AGENT: vocab.id(AGT), USER: vocab.id(USR)}
 
     utterances = [Utterance(USER, " ".join(opener))]
     segments = [[marker[USER], *vocab.encode(opener), eou_id]]
-    # each model's context extends what it was fed last turn until
-    # assemble_stream drops a segment, so it feeds only the new tokens
-    states = {AGENT: DecodeState(), USER: DecodeState()}
     for position in range(1, 2 * config.turns):
         speaker = AGENT if position % 2 == 1 else USER
-        model = agent_model if speaker == AGENT else user_model
-        context = assemble_stream(
-            prefix, segments, vocab, model.config.context_window, tail=[marker[speaker]]
-        )
+        context = assemble_stream(prefix, segments, vocab, windows[speaker], tail=[marker[speaker]])
         rng = None
         if config.decode.mode != "greedy":
             rng = np.random.default_rng(
                 np.random.SeedSequence([config.rng_seed, index, position])
             )
-        ids = generate(
-            model,
-            context,
-            config.decode,
-            eou_id=eou_id,
-            forbidden_ids=forbidden,
-            rng=rng,
-            state=states[speaker],
-        )
+        ids = yield speaker, context, rng
         words = [vocab.tokens[t] for t in ids]
         utterances.append(Utterance(speaker, " ".join(words)))
         segments.append([marker[speaker], *ids, eou_id])
-    return Dialog(
+    yield Dialog(
         source_id=f"selfchat-{index:04d}-{seed.polarity}",
         utterances=tuple(utterances),
     )
+
+
+def _chat(
+    models: dict[str, Model],
+    layers: dict[str, list],
+    config: SelfChatConfig,
+    classifier: PolarityClassifier,
+    items: Sequence[tuple[int, SeedUtterance]],
+) -> list[Dialog]:
+    """Play the dialogs of ``items`` ((index, seed) pairs) in lockstep: each
+    position's replies are one ``generate_batch`` call.  Each dialog keeps
+    one decode state per model, so a reply feeds only the tokens added since
+    that model last spoke."""
+    vocab = models[AGENT].vocab
+    eou_id, forbidden = vocab.id(EOU), sorted(vocab.structural_ids)
+    windows = {speaker: model.config.context_window for speaker, model in models.items()}
+    states = {speaker: [DecodeState() for _ in items] for speaker in models}
+    dialogs = [_run_dialog(vocab, windows, config, classifier, i, seed) for i, seed in items]
+    turns = [next(dialog) for dialog in dialogs]
+    for _ in range(1, 2 * config.turns):
+        speaker = turns[0][0]  # every dialog is at the same position
+        replies = generate_batch(
+            models[speaker],
+            [context for _, context, _ in turns],
+            config.decode,
+            eou_id=eou_id,
+            forbidden_ids=forbidden,
+            rngs=[rng for _, _, rng in turns],
+            states=states[speaker],
+            layers=layers[speaker],
+        )
+        turns = [dialog.send(ids) for dialog, ids in zip(dialogs, replies)]
+    return turns
 
 
 def self_chat(
@@ -130,7 +155,9 @@ def self_chat(
     """One dialog per seed, in seed order.
 
     The agent model speaks every odd position (the reply to the seed and
-    every second utterance after); the user model fills the rest.
+    every second utterance after); the user model fills the rest.  The seeds
+    are split into ``threads`` contiguous groups, each decoded in lockstep
+    on its own thread; a dialog is the same in any group.
     """
     for name, model in (("agent", agent_model), ("user", user_model)):
         if model.vocab is None:
@@ -140,12 +167,13 @@ def self_chat(
     if type(threads) is not int or threads < 1:
         raise ValueError(f"threads must be a positive integer, got {threads!r}")
 
-    def run(item):
-        index, seed = item
-        return _run_dialog(agent_model, user_model, config, classifier, index, seed)
-
+    models = {AGENT: agent_model, USER: user_model}
+    layers = {speaker: join_layers(model) for speaker, model in models.items()}
     items = list(enumerate(config.seeds))
-    if threads == 1:
-        return [run(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run, items))
+    chat = lambda group: _chat(models, layers, config, classifier, group)
+    k = min(threads, len(items))
+    if k == 1:
+        return chat(items)
+    groups = [items[g * len(items) // k : (g + 1) * len(items) // k] for g in range(k)]
+    with ThreadPoolExecutor(max_workers=k) as pool:
+        return [dialog for group in pool.map(chat, groups) for dialog in group]

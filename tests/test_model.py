@@ -14,13 +14,15 @@ from emoguide.model import (
     ModelConfig,
     backward,
     checkpoint_config_hash,
-    _decode_step,
+    _feed,
     _forward_cached,
-    _layer_weights,
+    _scatter_rows,
     _sigmoid,
     forward,
     generate,
+    generate_batch,
     init_model,
+    join_layers,
     load_checkpoint,
     model_checksum,
     pack,
@@ -86,10 +88,10 @@ def test_causality():
     assert not np.allclose(after[3:], base[3:])
 
 
-def _worst_fd_error(m, ids, batch_sizes, readout, R) -> float:
+def _worst_fd_error(m, ids, batch_sizes, readout, R, h0=None) -> float:
     """Worst relative error of backward() against central differences of the
     scalar loss <R, logits>, so that dL/dlogits = R."""
-    _, cache = _forward_cached(m, ids, batch_sizes, readout)
+    _, cache = _forward_cached(m, ids, batch_sizes, readout, h0)
     grads = backward(m, cache, R)
     eps = 1e-6
     worst = 0.0
@@ -99,9 +101,9 @@ def _worst_fd_error(m, ids, batch_sizes, readout, R) -> float:
             idx = it.multi_index
             orig = param[idx]
             param[idx] = orig + eps
-            f_plus = float((R * _forward_cached(m, ids, batch_sizes, readout)[0]).sum())
+            f_plus = float((R * _forward_cached(m, ids, batch_sizes, readout, h0)[0]).sum())
             param[idx] = orig - eps
-            f_minus = float((R * _forward_cached(m, ids, batch_sizes, readout)[0]).sum())
+            f_minus = float((R * _forward_cached(m, ids, batch_sizes, readout, h0)[0]).sum())
             param[idx] = orig
             numeric = (f_plus - f_minus) / (2 * eps)
             analytic = float(grads[name][idx])
@@ -133,6 +135,17 @@ def test_packed_backward_matches_finite_differences():
     # the README's 1e-4 contract; at eps 1e-6 the worst coordinate, a 1e-5
     # gradient, reads 1.8e-5 from the differences' own rounding
     assert _worst_fd_error(m, ids, batch_sizes, readout, R) <= 1e-4
+
+
+def test_backward_from_initial_states_matches_finite_differences():
+    # streams that start from given states, as decoding feeds them
+    m = init_model(TINY, seed=8).astype(np.float64)
+    rng = np.random.default_rng(2)
+    streams = [rng.integers(0, TINY.vocab_size, size=n) for n in (5, 3, 1)]
+    ids, batch_sizes, readout = pack(streams, [(0, 5), (1, 3), (0, 1)])
+    h0 = [rng.normal(size=(3, TINY.hidden_dim)) for _ in range(TINY.num_layers)]
+    R = rng.normal(size=(len(readout), TINY.vocab_size))
+    assert _worst_fd_error(m, ids, batch_sizes, readout, R, h0) <= 1e-4
 
 
 def test_pack_layout():
@@ -221,6 +234,28 @@ def test_packed_gradients_match_padded_reference():
         assert err <= 1e-12 * np.abs(ref).max(), f"{name}: {err}"
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_scatter_rows_matches_add_at(dtype):
+    rng = np.random.default_rng(0)
+    n, D = 120, 64
+    ids = rng.integers(0, 100, size=1142)  # ids repeat, and ids 100-119 are absent
+    rows = rng.normal(size=(len(ids), D)).astype(dtype)
+    expected = np.zeros((n, D), dtype=dtype)
+    np.add.at(expected, ids, rows)
+    got = _scatter_rows(ids, rows, n)
+    assert got.dtype == dtype and got.shape == (n, D)
+    assert not got[100:].any()
+    # both sums take the same terms in another order, so each is within
+    # (count - 1)·eps·sum|terms| of the exact sum (Higham, ch. 4)
+    magnitude = np.zeros((n, D))
+    np.add.at(magnitude, ids, np.abs(rows.astype(np.float64)))
+    count = np.bincount(ids, minlength=n)[:, None]
+    bound = 2 * np.maximum(count - 1, 0) * np.finfo(dtype).eps * magnitude
+    assert np.all(np.abs(got - expected) <= bound)
+    if dtype == np.float64:
+        assert np.abs(got - expected).max() <= 1e-12
+
+
 def test_incremental_decode_matches_full_forward():
     m = init_model(TINY, seed=9)
     ctx = [1, 2, 3]
@@ -241,11 +276,44 @@ def test_decode_step_logits_match_forward_at_every_position(dtype, rtol, atol):
     m = init_model(TINY, seed=9).astype(dtype)
     ids = np.random.default_rng(3).integers(0, TINY.vocab_size, size=TINY.context_window)
     full = forward(m, ids)
-    layers = [_layer_weights(m.params, layer) for layer in range(TINY.num_layers)]
-    hs = [np.zeros(TINY.hidden_dim, dtype=dtype) for _ in range(TINY.num_layers)]
-    stepped = np.stack([_decode_step(m.params, layers, hs, int(token)) for token in ids])
+    layers = join_layers(m)
+    hs = [np.zeros((1, TINY.hidden_dim), dtype=dtype) for _ in layers]
+    stepped = []
+    for token in ids.tolist():
+        logits, hs = _feed(m, layers, [[token]], hs)
+        stepped.append(logits[0])
+    stepped = np.stack(stepped)
     assert stepped.dtype == full.dtype == dtype
     np.testing.assert_allclose(stepped, full, rtol=rtol, atol=atol)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batched_feed_is_bit_equal_to_each_stream_alone(monkeypatch, dtype):
+    m = init_model(TINY, seed=9).astype(dtype)
+    layers = join_layers(m)
+    rng = np.random.default_rng(5)
+    streams = [rng.integers(0, TINY.vocab_size, size=n).tolist() for n in (3, 7, 1, 7, 12)]
+    h0 = [rng.normal(size=(len(streams), TINY.hidden_dim)).astype(dtype) for _ in layers]
+
+    def at_least_two_rows(model, ids, batch_sizes, readout, h0=None, layers=None):
+        # a 1-row GEMM would take the GEMV path, whose bits differ
+        assert batch_sizes.min() >= 2 and len(readout) >= 2
+        return forward_cached(model, ids, batch_sizes, readout, h0, layers)
+
+    forward_cached = model_mod._forward_cached
+    monkeypatch.setattr(model_mod, "_forward_cached", at_least_two_rows)
+    logits, hs = _feed(m, layers, streams, h0)
+    assert logits.shape == (len(streams), TINY.vocab_size)
+    for i, stream in enumerate(streams):
+        alone, alone_hs = _feed(m, layers, [stream], [h[i : i + 1] for h in h0])
+        assert np.array_equal(alone[0], logits[i])
+        assert all(np.array_equal(a[0], h[i]) for a, h in zip(alone_hs, hs))
+        # fed in two parts, the second from the first's states: the same bits
+        _, part = _feed(m, layers, [stream[:1]], [h[i : i + 1] for h in h0])
+        if len(stream) > 1:
+            rest, part = _feed(m, layers, [stream[1:]], part)
+            assert np.array_equal(rest[0], logits[i])
+        assert all(np.array_equal(a[0], h[i]) for a, h in zip(part, hs))
 
 
 def _masked_sigmoid(x):
@@ -303,24 +371,24 @@ def test_generate_contracts():
 
 
 def _count_steps(monkeypatch) -> list[int]:
-    """Record the token of every ``_decode_step`` call from here on."""
+    """Record every token ``_feed`` is given from here on."""
     fed = []
 
-    def counting(p, layers, hs, token_id):
-        fed.append(token_id)
-        return _decode_step(p, layers, hs, token_id)
+    def counting(model, layers, streams, h0):
+        fed.extend(token for stream in streams for token in stream)
+        return feed(model, layers, streams, h0)
 
-    monkeypatch.setattr(model_mod, "_decode_step", counting)
+    feed = model_mod._feed
+    monkeypatch.setattr(model_mod, "_feed", counting)
     return fed
 
 
 def _encode(m, ids) -> list[np.ndarray]:
     """Each layer's hidden state after feeding ``ids`` from zeros."""
-    layers = [_layer_weights(m.params, layer) for layer in range(m.config.num_layers)]
-    hs = [np.zeros(m.config.hidden_dim, dtype=m.dtype) for _ in layers]
-    for token in ids:
-        _decode_step(m.params, layers, hs, token)
-    return hs
+    layers = join_layers(m)
+    zeros = [np.zeros((1, m.config.hidden_dim), dtype=m.dtype) for _ in layers]
+    _, hs = _feed(m, layers, [list(ids)], zeros)
+    return [h[0] for h in hs]
 
 
 def _assert_state_is_scratch_encoding(m, state):
@@ -367,6 +435,29 @@ def test_state_resets_unless_the_context_extends_it(monkeypatch, edit):
     assert fed == ctx + out
     assert state.ids == (*ctx, *out)
     _assert_state_is_scratch_encoding(m, state)
+
+
+@pytest.mark.parametrize("mode", ["greedy", "top_k"])
+def test_generate_batch_matches_one_context_calls(mode):
+    m = init_model(TINY, seed=5)
+    decode = DecodeConfig(mode=mode, k=3, max_tokens=5)
+    carried = [DecodeState() for _ in range(4)]
+    rngs = lambda: [np.random.default_rng(i) for i in range(4)]
+    generate_batch(m, [[1, 2], [5], [2], [6, 2, 2]], decode, eou_id=3, rngs=rngs(), states=carried)
+    # two contexts extend their states, one is shorter than its state, one is new
+    contexts = [[*carried[0].ids, 3, 4], [5], [*carried[2].ids, 3, 6, 1], [1, 4, 5, 6, 1]]
+    batch_states = [DecodeState(s.ids, s.hs) for s in carried]
+    kwargs = dict(eou_id=3, forbidden_ids=[0])
+    batched = generate_batch(m, contexts, decode, rngs=rngs(), states=batch_states, **kwargs)
+    for ctx, rng, out, state, start in zip(contexts, rngs(), batched, batch_states, carried):
+        alone = DecodeState(start.ids, start.hs)
+        assert generate(m, ctx, decode, rng=rng, state=alone, **kwargs) == out
+        assert 1 <= len(out) <= 5 and 0 not in out and 3 not in out
+        assert alone.ids == state.ids == (*ctx, *out)
+        assert all(np.array_equal(a, b) for a, b in zip(alone.hs, state.hs))
+    with pytest.raises(ValueError, match="rng"):
+        generate_batch(m, contexts, DecodeConfig(mode="top_k"), rngs=rngs()[:3] + [None])
+    assert generate_batch(m, [], decode) == []
 
 
 def test_top_k_temperature_limit_is_greedy():

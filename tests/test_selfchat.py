@@ -7,7 +7,7 @@ import pytest
 import emoguide.model as model_mod
 from emoguide import selfchat
 from emoguide.corpus import bank_words
-from emoguide.model import DecodeConfig, ModelConfig, init_model
+from emoguide.model import DecodeConfig, ModelConfig, init_model, join_layers
 from emoguide.polarity import ClassifierParams, PolarityClassifier
 from emoguide.config import default_run_config
 from emoguide.resources import data_path, SEEDS_FILE
@@ -17,7 +17,7 @@ from emoguide.selfchat import (
     load_seed_utterances,
     self_chat,
 )
-from emoguide.vocab import build_vocab
+from emoguide.vocab import AGENT, USER, build_vocab
 
 
 @pytest.fixture(scope="module")
@@ -145,14 +145,18 @@ def test_sampling_is_seed_deterministic(models, classifier):
 def test_threads_do_not_change_results(models, classifier):
     agent, user = models
     config = SelfChatConfig(seeds=SEEDS, turns=4)
-    assert self_chat(agent, user, config, classifier, threads=1) == self_chat(
-        agent, user, config, classifier, threads=3
-    )
+    single = self_chat(agent, user, config, classifier, threads=1)
+    for threads in (2, 3, 5):  # groups of 1 and 2, of 1 each, and more threads than seeds
+        assert self_chat(agent, user, config, classifier, threads=threads) == single
 
 
-def _stateless(model, context_ids, decode, *, state=None, **kwargs):
-    """``generate`` as called before decode states: every context from zeros."""
-    return model_mod.generate(model, context_ids, decode, **kwargs)
+def _stateless(model, contexts, decode, *, states=None, **kwargs):
+    """``generate_batch`` as called before decode states: every context from zeros."""
+    return model_mod.generate_batch(model, contexts, decode, **kwargs)
+
+
+def _with_window(models, window):
+    return [replace(m, config=replace(m.config, context_window=window)) for m in models]
 
 
 @pytest.mark.parametrize("window", [128, 40])
@@ -160,27 +164,47 @@ def _stateless(model, context_ids, decode, *, state=None, **kwargs):
     "decode", [DecodeConfig(), DecodeConfig(mode="top_k", k=4)], ids=["greedy", "top_k"]
 )
 def test_carried_decode_state_keeps_transcripts(models, classifier, monkeypatch, window, decode):
-    agent, user = (
-        replace(m, config=replace(m.config, context_window=window)) for m in models
-    )
+    agent, user = _with_window(models, window)
     config = SelfChatConfig(seeds=SEEDS, turns=6, decode=decode, rng_seed=5)
     carried = self_chat(agent, user, config, classifier)
-    monkeypatch.setattr(selfchat, "generate", _stateless)
+    monkeypatch.setattr(selfchat, "generate_batch", _stateless)
     assert carried == self_chat(agent, user, config, classifier)
     if window == 40:  # the stream outgrew the window, so assemble_stream dropped segments
         assert all(sum(len(u.tokens) + 2 for u in d.utterances) + 2 > 40 for d in carried)
+
+
+@pytest.mark.parametrize("window", [128, 40])
+@pytest.mark.parametrize(
+    "decode", [DecodeConfig(), DecodeConfig(mode="top_k", k=4)], ids=["greedy", "top_k"]
+)
+def test_dialogs_do_not_depend_on_the_batch(models, classifier, window, decode):
+    agent, user = _with_window(models, window)
+    seeds = load_seed_utterances(data_path(SEEDS_FILE))[:14]
+    config = SelfChatConfig(seeds=seeds, turns=5, decode=decode, rng_seed=3)
+    everyone = self_chat(agent, user, config, classifier)
+    speakers = {AGENT: agent, USER: user}
+    layers = {speaker: join_layers(m) for speaker, m in speakers.items()}
+    items = list(enumerate(seeds))
+    for size in (1, 2, 7):
+        batches = [items[lo : lo + size] for lo in range(0, len(items), size)]
+        dialogs = [
+            d for b in batches for d in selfchat._chat(speakers, layers, config, classifier, b)
+        ]
+        assert dialogs == everyone, size
+    if window == 40:  # some streams were truncated, so they restarted from zeros
+        assert any(sum(len(u.tokens) + 2 for u in d.utterances) + 2 > 40 for d in everyone)
 
 
 def test_each_model_feeds_each_stream_token_once(models, classifier, monkeypatch):
     agent, user = models
     fed = {id(agent.params): 0, id(user.params): 0}
 
-    def counting(p, layers, hs, token_id):
-        fed[id(p)] += 1
-        return decode_step(p, layers, hs, token_id)
+    def counting(model, layers, streams, h0):
+        fed[id(model.params)] += sum(len(stream) for stream in streams)
+        return feed(model, layers, streams, h0)
 
-    decode_step = model_mod._decode_step
-    monkeypatch.setattr(model_mod, "_decode_step", counting)
+    feed = model_mod._feed
+    monkeypatch.setattr(model_mod, "_feed", counting)
     for seed in SEEDS:
         fed.update(dict.fromkeys(fed, 0))
         config = SelfChatConfig(seeds=(seed,), turns=4)  # stays inside the 128-token window
