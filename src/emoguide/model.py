@@ -21,8 +21,9 @@ Decoding runs the same packed forward pass, from each stream's carried
 hidden state: ``generate_batch`` feeds every context's new tokens as one
 packed batch, then takes one batched step per token over the replies still
 running; ``generate`` is its one-context call.  Every GEMM of a decode call
-runs on at least two rows, so a reply's bits do not depend on the batch that
-decoded it.
+runs on at least two rows, so on a BLAS that gives a row the same bits at
+any row count M >= 2 (see ``_feed``), a reply's bits do not depend on the
+batch that decoded it.
 
 Checkpoints are a single binary file: a magic string, a JSON header (config,
 step count, optional vocabulary and config hash, parameter manifest) followed
@@ -191,7 +192,7 @@ def pack(streams: Sequence[np.ndarray], spans: Sequence[tuple[int, int]]):
     return grid[active], batch_sizes, readout
 
 
-def join_layers(model: Model) -> list[tuple]:
+def _join_layers(model: Model) -> list[tuple]:
     """Every layer's ``_layer_weights``, joined once for a caller that runs the
     model many times with the same parameters."""
     return [_layer_weights(model.params, layer) for layer in range(model.config.num_layers)]
@@ -214,14 +215,14 @@ def _forward_cached(
     readout over the ``readout`` rows only.  ``h0`` holds each layer's (B, H)
     initial states, in stream order (zeros without it); a stream's final
     states are the cached ``h`` rows of its last position.  ``layers`` is
-    ``join_layers(model)``, joined here if not given.
+    ``_join_layers(model)``, joined here if not given.
     """
     p, H = model.params, model.config.hidden_dim
     # (first row, row count) of every step
     steps = list(zip((np.cumsum(batch_sizes) - batch_sizes).tolist(), batch_sizes.tolist()))
     x = p["emb"][ids]  # (N, D), one row per real position
     caches = []
-    for layer, (w, b, u_zr, u_c) in enumerate(layers or join_layers(model)):
+    for layer, (w, b, u_zr, u_c) in enumerate(layers or _join_layers(model)):
         # every position's input projections, z|r and c apart so that a step's
         # rows of each are contiguous; the loop turns them into the gates
         zr, c = x @ w[:, : 2 * H] + b[: 2 * H], x @ w[:, 2 * H :] + b[2 * H :]
@@ -356,7 +357,11 @@ def _feed(model: Model, layers: list[tuple], streams: Sequence[Sequence[int]], h
     there, both in stream order.  Every GEMM runs on at least 2 rows: a
     1-row float32 GEMM takes BLAS's GEMV path, whose bits differ, so a stream
     that would run a step alone runs twice.  Each row's bits then do not
-    depend on which other streams share the batch.
+    depend on which other streams share the batch, provided the BLAS gives a
+    row of an M-row GEMM the same bits for every M >= 2.  That was checked
+    on OpenBLAS 0.3.31 (Haswell kernels, 1 thread), not reasoned out: a BLAS
+    that picks its kernel by M (small-matrix kernels, MKL) may break it,
+    and ``tests/test_model.py`` checks it on the BLAS in use.
     """
     order = sorted(range(len(streams)), key=lambda i: -len(streams[i]))  # stable
     pad = int(len(order) == 1 or len(streams[order[0]]) > len(streams[order[1]]))
@@ -401,7 +406,6 @@ def generate_batch(
     forbidden_ids: Sequence[int] = (),
     rngs: Sequence[np.random.Generator | None] | None = None,
     states: Sequence[DecodeState] | None = None,
-    layers: list[tuple] | None = None,
 ) -> list[list[int]]:
     """Decode a reply after every context, all of them in lockstep.
 
@@ -417,8 +421,8 @@ def generate_batch(
     state does.  The state then holds the context plus the emitted ids
     (<eou> is never fed).  A row's bits depend neither on its state nor on
     the other contexts of the batch (see ``_feed``), so a reply is the same
-    whichever batch decodes it.  ``layers`` is ``join_layers(model)``, for a
-    caller that decodes many batches.
+    whichever batch decodes it.  ``rngs`` and ``states``, when given, have
+    one entry per context.
     """
     config = model.config
     if not contexts:
@@ -426,10 +430,13 @@ def generate_batch(
     window = config.context_window
     contexts = [_check_ids(c, config.vocab_size, window)[0].tolist() for c in contexts]
     rngs = list(rngs) if rngs is not None else [None] * len(contexts)
+    states = list(states) if states is not None else [DecodeState() for _ in contexts]
+    for name, given in (("rngs", rngs), ("states", states)):
+        if len(given) != len(contexts):
+            raise ValueError(f"{len(given)} {name} for {len(contexts)} contexts")
     if decode.mode == "top_k" and any(rng is None for rng in rngs):
         raise ValueError("top_k decoding needs an rng")
-    states = list(states) if states is not None else [DecodeState() for _ in contexts]
-    layers = layers or join_layers(model)
+    layers = _join_layers(model)  # once per call, not once per step
     zeros = np.zeros(config.hidden_dim, dtype=model.dtype)
     suffixes, h0 = [], []
     for ctx, state in zip(contexts, states):

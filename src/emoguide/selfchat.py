@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Dialog, Utterance, read_jsonl
-from .model import DecodeConfig, DecodeState, Model, generate_batch, join_layers
+from .model import DecodeConfig, DecodeState, Model, generate_batch
 from .model import generate  # noqa: F401  perfbench's tracer wraps this name here
 from .polarity import NEGATIVE, NEUTRAL, POSITIVE, PolarityClassifier
 from .vad import tokenize
@@ -114,7 +114,6 @@ def _run_dialog(
 
 def _chat(
     models: dict[str, Model],
-    layers: dict[str, list],
     config: SelfChatConfig,
     classifier: PolarityClassifier,
     items: Sequence[tuple[int, SeedUtterance]],
@@ -139,7 +138,6 @@ def _chat(
             forbidden_ids=forbidden,
             rngs=[rng for _, _, rng in turns],
             states=states[speaker],
-            layers=layers[speaker],
         )
         turns = [dialog.send(ids) for dialog, ids in zip(dialogs, replies)]
     return turns
@@ -168,9 +166,8 @@ def self_chat(
         raise ValueError(f"threads must be a positive integer, got {threads!r}")
 
     models = {AGENT: agent_model, USER: user_model}
-    layers = {speaker: join_layers(model) for speaker, model in models.items()}
     items = list(enumerate(config.seeds))
-    chat = lambda group: _chat(models, layers, config, classifier, group)
+    chat = lambda group: _chat(models, config, classifier, group)
     k = min(threads, len(items))
     if k == 1:
         return chat(items)

@@ -22,7 +22,7 @@ from emoguide.model import (
     generate,
     generate_batch,
     init_model,
-    join_layers,
+    _join_layers,
     load_checkpoint,
     model_checksum,
     pack,
@@ -276,7 +276,7 @@ def test_decode_step_logits_match_forward_at_every_position(dtype, rtol, atol):
     m = init_model(TINY, seed=9).astype(dtype)
     ids = np.random.default_rng(3).integers(0, TINY.vocab_size, size=TINY.context_window)
     full = forward(m, ids)
-    layers = join_layers(m)
+    layers = _join_layers(m)
     hs = [np.zeros((1, TINY.hidden_dim), dtype=dtype) for _ in layers]
     stepped = []
     for token in ids.tolist():
@@ -290,7 +290,7 @@ def test_decode_step_logits_match_forward_at_every_position(dtype, rtol, atol):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_batched_feed_is_bit_equal_to_each_stream_alone(monkeypatch, dtype):
     m = init_model(TINY, seed=9).astype(dtype)
-    layers = join_layers(m)
+    layers = _join_layers(m)
     rng = np.random.default_rng(5)
     streams = [rng.integers(0, TINY.vocab_size, size=n).tolist() for n in (3, 7, 1, 7, 12)]
     h0 = [rng.normal(size=(len(streams), TINY.hidden_dim)).astype(dtype) for _ in layers]
@@ -314,6 +314,32 @@ def test_batched_feed_is_bit_equal_to_each_stream_alone(monkeypatch, dtype):
             rest, part = _feed(m, layers, [stream[1:]], part)
             assert np.array_equal(rest[0], logits[i])
         assert all(np.array_equal(a[0], h[i]) for a, h in zip(part, hs))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("config", [TINY, ModelConfig(vocab_size=109)], ids=["tiny", "default"])
+def test_blas_gives_a_row_the_same_bits_at_any_row_count(dtype, config):
+    """Batch-invariant decoding rests on this property of the BLAS, not on
+    any code here: each row of every GEMM the model runs gets the same bits
+    for any row count M >= 2 and any position in the batch."""
+    m = init_model(config, seed=1).astype(dtype)
+    H = config.hidden_dim
+    operands = [m.params["out_w"]]
+    for w, _, u_zr, u_c in _join_layers(m):
+        operands += [w[:, : 2 * H], w[:, 2 * H :], u_zr, u_c]  # as _forward_cached slices them
+    rng = np.random.default_rng(2)
+    for operand in operands:
+        rows = rng.normal(size=(300, operand.shape[0])).astype(dtype)
+        whole = rows @ operand
+        for count in (2, 3, 4, 5, 7, 8, 9, 16, 17, 31, 64, 139):
+            for start in (0, 1, 6):
+                part = rows[start : start + count] @ operand
+                assert np.array_equal(part, whole[start : start + count]), (
+                    f"this BLAS gives a {dtype.__name__} GEMM row different bits in a "
+                    f"{count}-row product than in a 300-row one ({operand.shape}), so "
+                    "self-chat transcripts can depend on the decode batch and on "
+                    "--threads (README, Determinism)"
+                )
 
 
 def _masked_sigmoid(x):
@@ -385,7 +411,7 @@ def _count_steps(monkeypatch) -> list[int]:
 
 def _encode(m, ids) -> list[np.ndarray]:
     """Each layer's hidden state after feeding ``ids`` from zeros."""
-    layers = join_layers(m)
+    layers = _join_layers(m)
     zeros = [np.zeros((1, m.config.hidden_dim), dtype=m.dtype) for _ in layers]
     _, hs = _feed(m, layers, [list(ids)], zeros)
     return [h[0] for h in hs]
@@ -457,6 +483,10 @@ def test_generate_batch_matches_one_context_calls(mode):
         assert all(np.array_equal(a, b) for a, b in zip(alone.hs, state.hs))
     with pytest.raises(ValueError, match="rng"):
         generate_batch(m, contexts, DecodeConfig(mode="top_k"), rngs=rngs()[:3] + [None])
+    with pytest.raises(ValueError, match="3 states for 4 contexts"):
+        generate_batch(m, contexts, decode, rngs=rngs(), states=batch_states[:3])
+    with pytest.raises(ValueError, match="5 rngs for 4 contexts"):
+        generate_batch(m, contexts, decode, rngs=rngs() + rngs()[:1])
     assert generate_batch(m, [], decode) == []
 
 

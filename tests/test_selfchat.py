@@ -7,7 +7,7 @@ import pytest
 import emoguide.model as model_mod
 from emoguide import selfchat
 from emoguide.corpus import bank_words
-from emoguide.model import DecodeConfig, ModelConfig, init_model, join_layers
+from emoguide.model import DecodeConfig, ModelConfig, init_model
 from emoguide.polarity import ClassifierParams, PolarityClassifier
 from emoguide.config import default_run_config
 from emoguide.resources import data_path, SEEDS_FILE
@@ -183,12 +183,11 @@ def test_dialogs_do_not_depend_on_the_batch(models, classifier, window, decode):
     config = SelfChatConfig(seeds=seeds, turns=5, decode=decode, rng_seed=3)
     everyone = self_chat(agent, user, config, classifier)
     speakers = {AGENT: agent, USER: user}
-    layers = {speaker: join_layers(m) for speaker, m in speakers.items()}
     items = list(enumerate(seeds))
     for size in (1, 2, 7):
         batches = [items[lo : lo + size] for lo in range(0, len(items), size)]
         dialogs = [
-            d for b in batches for d in selfchat._chat(speakers, layers, config, classifier, b)
+            d for b in batches for d in selfchat._chat(speakers, config, classifier, b)
         ]
         assert dialogs == everyone, size
     if window == 40:  # some streams were truncated, so they restarted from zeros
