@@ -20,10 +20,12 @@ loss gradient at those rows alone.
 Decoding runs the same packed forward pass, from each stream's carried
 hidden state: ``generate_batch`` feeds every context's new tokens as one
 packed batch, then takes one batched step per token over the replies still
-running; ``generate`` is its one-context call.  Every GEMM of a decode call
-runs on at least two rows, so on a BLAS that gives a row the same bits at
-any row count M >= 2 (see ``_feed``), a reply's bits do not depend on the
-batch that decoded it.
+running; ``generate`` is its one-context call.  A decode step is one token
+per stream, already in packed order, so it runs its rows as given, and the
+state arrays hold only the running replies: a row leaves them when its
+reply emits <eou>.  Every GEMM of a decode call runs on at least two rows,
+so on a BLAS that gives a row the same bits at any row count M >= 2 (see
+``_feed``), a reply's bits do not depend on the batch that decoded it.
 
 Checkpoints are a single binary file: a magic string, a JSON header (config,
 step count, optional vocabulary and config hash, parameter manifest) followed
@@ -34,6 +36,7 @@ save/load round trip is bit-exact.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -150,21 +153,26 @@ def _gru_cell(zr: np.ndarray, c: np.ndarray, h_prev: np.ndarray, u_zr, u_c) -> n
     return h_prev + zr[..., :H] * (c - h_prev)
 
 
-def _check_ids(ids, vocab_size: int, window: int) -> np.ndarray:
-    arr = np.asarray(ids)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.ndim != 2:
-        raise ValueError(f"expected token ids of shape (L,) or (B, L), got {arr.shape}")
-    if arr.shape[1] == 0:
-        raise ValueError("empty token stream")
-    if arr.shape[1] > window:
-        raise ValueError(f"input length {arr.shape[1]} exceeds context window {window}")
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise ValueError(f"token ids must be integers, got dtype {arr.dtype}")
-    if arr.min() < 0 or arr.max() >= vocab_size:
+def _check_ids(streams, vocab_size: int, window: int) -> np.ndarray:
+    """Validate token id streams as one array and return them concatenated,
+    as int64.  Each stream must be 1-D, nonempty, at most ``window`` ids long
+    and of an integer dtype, and every id must lie in [0, vocab_size)."""
+    arrays = [np.asarray(s) for s in streams]
+    if not arrays:
+        raise ValueError("no token streams")
+    for arr in arrays:
+        if arr.ndim != 1:
+            raise ValueError(f"expected a token id stream of shape (L,), got {arr.shape}")
+        if len(arr) == 0:
+            raise ValueError("empty token stream")
+        if len(arr) > window:
+            raise ValueError(f"input length {len(arr)} exceeds context window {window}")
+        if arr.dtype.kind not in "iu":  # signed or unsigned integers, not bool
+            raise ValueError(f"token ids must be integers, got dtype {arr.dtype}")
+    flat = np.concatenate(arrays)
+    if flat.min() < 0 or flat.max() >= vocab_size:
         raise ValueError("token id out of range")
-    return arr.astype(np.int64)
+    return flat.astype(np.int64)
 
 
 def pack(streams: Sequence[np.ndarray], spans: Sequence[tuple[int, int]]):
@@ -219,7 +227,8 @@ def _forward_cached(
     """
     p, H = model.params, model.config.hidden_dim
     # (first row, row count) of every step
-    steps = list(zip((np.cumsum(batch_sizes) - batch_sizes).tolist(), batch_sizes.tolist()))
+    sizes = batch_sizes.tolist()
+    steps = list(zip(itertools.accumulate(sizes, initial=0), sizes))
     x = p["emb"][ids]  # (N, D), one row per real position
     caches = []
     for layer, (w, b, u_zr, u_c) in enumerate(layers or _join_layers(model)):
@@ -240,11 +249,15 @@ def _forward_cached(
 
 def forward(model: Model, ids) -> np.ndarray:
     """Causal logits for every position; shape mirrors the input batch shape."""
-    arr = _check_ids(ids, model.config.vocab_size, model.config.context_window)
-    B, L = arr.shape
-    logits, _ = _forward_cached(model, *pack(arr, [(0, L)] * B))
+    arr = np.asarray(ids)
+    if arr.ndim not in (1, 2):
+        raise ValueError(f"expected token ids of shape (L,) or (B, L), got {arr.shape}")
+    batch = arr[None] if arr.ndim == 1 else arr
+    B, L = batch.shape
+    flat = _check_ids(batch, model.config.vocab_size, model.config.context_window)
+    logits, _ = _forward_cached(model, *pack(flat.reshape(B, L), [(0, L)] * B))
     logits = logits.reshape(B, L, -1)
-    return logits[0] if np.asarray(ids).ndim == 1 else logits
+    return logits[0] if arr.ndim == 1 else logits
 
 
 def _layer_backward(layer: int, cache: dict, dh_out: np.ndarray, steps):
@@ -354,33 +367,41 @@ def _feed(model: Model, layers: list[tuple], streams: Sequence[Sequence[int]], h
 
     ``h0`` holds each layer's (B, H) initial states, in stream order.
     Returns the logits after each stream's last token and each layer's states
-    there, both in stream order.  Every GEMM runs on at least 2 rows: a
-    1-row float32 GEMM takes BLAS's GEMV path, whose bits differ, so a stream
-    that would run a step alone runs twice.  Each row's bits then do not
-    depend on which other streams share the batch, provided the BLAS gives a
-    row of an M-row GEMM the same bits for every M >= 2.  That was checked
-    on OpenBLAS 0.3.31 (Haswell kernels, 1 thread), not reasoned out: a BLAS
-    that picks its kernel by M (small-matrix kernels, MKL) may break it,
-    and ``tests/test_model.py`` checks it on the BLAS in use.
+    there, both in stream order.  A decode step (one token per stream) is
+    already in packed order, so it runs as given; longer streams are sorted
+    longest first and packed.  Every GEMM runs on at least 2 rows: a 1-row
+    float32 GEMM takes BLAS's GEMV path, whose bits differ, so a stream that
+    would run a step alone runs twice.  Each row's bits then do not depend on
+    which other streams share the batch, provided the BLAS gives a row of an
+    M-row GEMM the same bits for every M >= 2.  That was checked on OpenBLAS
+    0.3.31 (Haswell kernels, 1 thread), not reasoned out: a BLAS that picks
+    its kernel by M (small-matrix kernels, MKL) may break it, and
+    ``tests/test_model.py`` checks it on the BLAS in use.
     """
-    order = sorted(range(len(streams)), key=lambda i: -len(streams[i]))  # stable
-    pad = int(len(order) == 1 or len(streams[order[0]]) > len(streams[order[1]]))
+    n = len(streams)
+    if all(len(s) == 1 for s in streams):  # a decode step: one row per stream
+        rows = [0, 0] if n == 1 else slice(None)
+        ids, h0 = np.ravel(streams)[rows], [h[rows] for h in h0]
+        size = len(ids)
+        logits, cache = _forward_cached(model, ids, np.array([size]), np.arange(size), h0, layers)
+        return logits[-n:], [layer["h"][-n:] for layer in cache["layers"]]
+    order = sorted(range(n), key=lambda i: -len(streams[i]))  # stable
+    pad = int(n == 1 or len(streams[order[0]]) > len(streams[order[1]]))
     order = order[:1] * pad + order
     packed = [streams[i] for i in order]
-    if len(packed[0]) == 1:  # a decode step: one token per stream, no layout to build
-        ids, batch_sizes, last = np.ravel(packed), np.array([len(packed)]), np.arange(len(packed))
-    else:
-        ids, batch_sizes, last = pack(packed, [(len(s) - 1, len(s)) for s in packed])
+    ids, batch_sizes, last = pack(packed, [(len(s) - 1, len(s)) for s in packed])
     logits, cache = _forward_cached(model, ids, batch_sizes, last, [h[order] for h in h0], layers)
-    back = np.empty(len(streams), dtype=np.int64)
+    back = np.empty(n, dtype=np.int64)
     back[order[pad:]] = np.arange(pad, len(order))
     return logits[back], [layer["h"][last[back]] for layer in cache["layers"]]
 
 
 def _choose(logits: np.ndarray, decode: DecodeConfig, banned: list[int], rngs) -> np.ndarray:
     """Each row's next token: the greedy choice, or a top-k sample drawn with
-    that row's generator.  ``banned`` ids are never chosen."""
-    masked = logits.astype(np.float64)
+    that row's generator.  ``banned`` ids are never chosen.  Greedy masks and
+    takes the argmax in the logits' dtype: widening float32 to float64 is
+    exact, so the choice and its tie-breaking would be the same."""
+    masked = logits.astype(np.float64 if decode.mode == "top_k" else logits.dtype)
     masked[:, banned] = -np.inf
     if decode.mode == "greedy":
         return masked.argmax(axis=1)
@@ -411,24 +432,29 @@ def generate_batch(
 
     The contexts' new tokens are fed as one packed batch, and each decode
     step is one batched step over the replies still running; a reply ends at
-    <eou> or after max_tokens.  ``forbidden_ids`` are masked at every step,
+    <eou> or after max_tokens.  Only the running replies' rows are kept: a
+    row leaves the state arrays when it emits <eou>, and its final states
+    are recorded then.  ``forbidden_ids`` are masked at every step,
     ``eou_id`` additionally at the first step so replies are never empty.
     Context i samples with ``rngs[i]`` (top_k needs one per context).  As
     temperature -> 0, top_k sampling converges to the greedy choice.
 
-    With ``states[i]`` whose ids context i strictly extends, only the new
-    suffix is fed; any other context starts from zeros, as one without a
-    state does.  The state then holds the context plus the emitted ids
-    (<eou> is never fed).  A row's bits depend neither on its state nor on
-    the other contexts of the batch (see ``_feed``), so a reply is the same
-    whichever batch decodes it.  ``rngs`` and ``states``, when given, have
-    one entry per context.
+    Every context must be a 1-D, nonempty sequence of integer ids in the
+    vocabulary, at most a context window long; all of a call's contexts are
+    checked as one array.  With ``states[i]`` whose ids context i strictly
+    extends, only the new suffix is fed; any other context starts from
+    zeros, as one without a state does.  The state then holds the context
+    plus the emitted ids (<eou> is never fed).  A row's bits depend neither
+    on its state nor on the other contexts of the batch (see ``_feed``), so
+    a reply is the same whichever batch decodes it.  ``rngs`` and
+    ``states``, when given, have one entry per context.
     """
     config = model.config
     if not contexts:
         return []
-    window = config.context_window
-    contexts = [_check_ids(c, config.vocab_size, window)[0].tolist() for c in contexts]
+    flat = _check_ids(contexts, config.vocab_size, config.context_window).tolist()
+    ends = list(itertools.accumulate(map(len, contexts)))
+    contexts = [flat[lo:hi] for lo, hi in zip([0, *ends], ends)]
     rngs = list(rngs) if rngs is not None else [None] * len(contexts)
     states = list(states) if states is not None else [DecodeState() for _ in contexts]
     for name, given in (("rngs", rngs), ("states", states)):
@@ -447,23 +473,26 @@ def generate_batch(
     h0 = [np.stack(hs) for hs in zip(*h0)]  # each layer's (B, H) states
     logits, hs = _feed(model, layers, suffixes, h0)
     outs: list[list[int]] = [[] for _ in contexts]
-    live = np.arange(len(contexts))  # the rows still replying; logits are theirs
+    final: list[tuple] = [()] * len(contexts)  # each context's states once its reply ends
+    live = np.arange(len(contexts))  # the contexts still replying; rows of logits and hs
     forbidden = list(forbidden_ids)
     for step in range(decode.max_tokens):
         banned = forbidden + [eou_id] if step == 0 and eou_id is not None else forbidden
         choices = _choose(logits, decode, banned, [rngs[i] for i in live])
-        if eou_id is not None:
+        if eou_id is not None and eou_id in choices:
             going = choices != eou_id
-            live, choices = live[going], choices[going]
+            for row in np.flatnonzero(~going).tolist():
+                final[live[row]] = tuple(h[row] for h in hs)
+            live, choices, hs = live[going], choices[going], [h[going] for h in hs]
         if not live.size:
             break
         for i, token in zip(live.tolist(), choices.tolist()):
             outs[i].append(token)
-        logits, stepped = _feed(model, layers, choices[:, None].tolist(), [h[live] for h in hs])
-        for h, h_live in zip(hs, stepped):
-            h[live] = h_live
-    for i, (ctx, state) in enumerate(zip(contexts, states)):
-        state.ids, state.hs = (*ctx, *outs[i]), tuple(h[i] for h in hs)
+        logits, hs = _feed(model, layers, choices[:, None], hs)
+    for row, i in enumerate(live.tolist()):
+        final[i] = tuple(h[row] for h in hs)
+    for ctx, out, state, hs_end in zip(contexts, outs, states, final):
+        state.ids, state.hs = (*ctx, *out), hs_end
     return outs
 
 

@@ -12,6 +12,7 @@ share across threads.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
@@ -36,22 +37,20 @@ class LexiconFormatError(ValueError):
 
 @dataclass(frozen=True)
 class VadVector:
-    """A point in the unit VAD cube."""
+    """A point in the unit VAD cube; components are stored as Python floats."""
 
     valence: float
     arousal: float
     dominance: float
 
     def __post_init__(self) -> None:
-        for name, value in (
-            ("valence", self.valence),
-            ("arousal", self.arousal),
-            ("dominance", self.dominance),
-        ):
-            if not np.isfinite(value):
+        for name in ("valence", "arousal", "dominance"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+            object.__setattr__(self, name, float(value))
 
     def to_array(self) -> np.ndarray:
         return np.array([self.valence, self.arousal, self.dominance], dtype=np.float64)
@@ -214,10 +213,17 @@ def utterance_mean_vad(lexicon: VadLexicon, tokens: Sequence[str]) -> VadVector:
     """Arithmetic mean of per-token VAD vectors; empty input is an error."""
     if len(tokens) == 0:
         raise ValueError("cannot average VAD over an empty token sequence")
-    acc = np.zeros(3, dtype=np.float64)
+    # plain float sums: the same float64 additions, in the same order, as
+    # summing to_array() rows from zeros, without an array per token
+    valence = arousal = dominance = 0.0
+    lookup = lexicon.lookup
     for token in tokens:
-        acc += lexicon.lookup(token).to_array()
-    return VadVector.from_array(acc / len(tokens))
+        vec = lookup(token)
+        valence += vec.valence
+        arousal += vec.arousal
+        dominance += vec.dominance
+    n = len(tokens)
+    return VadVector(valence / n, arousal / n, dominance / n)
 
 
 def check_distribution(probs: np.ndarray, vocab_size: int | None = None) -> np.ndarray:

@@ -39,6 +39,7 @@ class Vocab:
 
     tokens: tuple[str, ...]
     _ids: dict[str, int] = field(init=False, repr=False, compare=False)
+    _unk: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ids = {token: i for i, token in enumerate(self.tokens)}
@@ -48,6 +49,7 @@ class Vocab:
             if required not in ids:
                 raise ValueError(f"vocabulary must contain {required}")
         object.__setattr__(self, "_ids", ids)
+        object.__setattr__(self, "_unk", ids[UNK])
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -56,13 +58,14 @@ class Vocab:
         return token in self._ids
 
     def id(self, token: str) -> int:
-        return self._ids.get(token, self._ids[UNK])
+        return self._ids.get(token, self._unk)
 
     def token(self, index: int) -> str:
         return self.tokens[index]
 
     def encode(self, words: Iterable[str]) -> list[int]:
-        return [self.id(w) for w in words]
+        get, unk = self._ids.get, self._unk
+        return [get(w, unk) for w in words]
 
     def decode_words(self, ids: Iterable[int]) -> list[str]:
         return [self.tokens[i] for i in ids]
@@ -113,22 +116,18 @@ def assemble_stream(
     """
     if window < 1:
         raise ValueError(f"window must be positive, got {window}")
-    prefix_ids = [vocab.id(prefix[0]), vocab.id(prefix[1])]
-    keep = list(segments)
-    tail = list(tail)
-
-    def total() -> int:
-        return len(prefix_ids) + sum(len(s) for s in keep) + len(tail)
-
-    while total() > window and len(keep) > 1:
-        del keep[1]  # drop the oldest utterance after the opener
-    if total() > window:
+    out = [vocab.id(prefix[0]), vocab.id(prefix[1])]
+    total = len(out) + sum(map(len, segments)) + len(tail)
+    cut = 1  # segments[1:cut] are dropped, the oldest utterances after the opener
+    while total > window and cut < len(segments):
+        total -= len(segments[cut])
+        cut += 1
+    if total > window:
         raise ValueError(
-            f"stream of {total()} tokens cannot fit window {window} "
+            f"stream of {total} tokens cannot fit window {window} "
             "even after dropping all middle utterances"
         )
-    out = list(prefix_ids)
-    for seg in keep:
+    for seg in (*segments[:1], *segments[cut:]):
         out.extend(seg)
     out.extend(tail)
     return out

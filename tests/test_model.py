@@ -14,6 +14,7 @@ from emoguide.model import (
     ModelConfig,
     backward,
     checkpoint_config_hash,
+    _choose,
     _feed,
     _forward_cached,
     _scatter_rows,
@@ -75,6 +76,8 @@ def test_forward_shapes_and_validation():
         forward(m, np.array([], dtype=np.int64))
     with pytest.raises(ValueError):
         forward(m, np.array([0.5]))
+    with pytest.raises(ValueError, match="no token streams"):
+        forward(m, np.zeros((0, 3), dtype=np.int64))
 
 
 def test_causality():
@@ -488,6 +491,96 @@ def test_generate_batch_matches_one_context_calls(mode):
     with pytest.raises(ValueError, match="5 rngs for 4 contexts"):
         generate_batch(m, contexts, decode, rngs=rngs() + rngs()[:1])
     assert generate_batch(m, [], decode) == []
+
+
+@pytest.mark.parametrize(
+    "context", [[[1, 2], [3, 4]], [[1, 2]], 5, np.array([[1, 2]])], ids=["2x2", "1x2", "0d", "array"]
+)
+def test_generate_rejects_a_context_that_is_not_1d(context):
+    m = init_model(TINY, seed=5)
+    with pytest.raises(ValueError, match="shape"):
+        generate(m, context)
+    with pytest.raises(ValueError, match="shape"):
+        generate_batch(m, [[1, 2], context, [4]])
+
+
+# each builds a bad context from the ids it extends: a state's ids when the
+# context is carried, none when it is fresh
+BAD_CONTEXTS = {
+    "negative": lambda ids: [*ids, -1],
+    "too_large": lambda ids: [*ids, TINY.vocab_size],
+    "float": lambda ids: np.array([*ids, 2], dtype=np.float64),
+    "too_long": lambda ids: [*ids, *[1] * (TINY.context_window + 1 - len(ids))],
+    "empty": lambda ids: [],
+    "bool": lambda ids: [True, False],
+}
+BAD_CASES = [(bad, carried) for bad in list(BAD_CONTEXTS)[:4] for carried in ("carried", "fresh")]
+
+
+@pytest.mark.parametrize("bad, carried", BAD_CASES + [("empty", "fresh"), ("bool", "fresh")])
+@pytest.mark.parametrize("where", [0, 2])
+def test_a_bad_id_in_any_context_of_a_batch_raises(bad, carried, where):
+    m = init_model(TINY, seed=5)
+    states = [DecodeState() for _ in range(3)]
+    generate_batch(m, [[1, 2], [5], [2, 4]], DecodeConfig(max_tokens=3), eou_id=3, states=states)
+    kept = [(s.ids, s.hs) for s in states]
+    contexts = [[*s.ids, 3, 4] for s in states]
+    contexts[where] = BAD_CONTEXTS[bad](states[where].ids if carried == "carried" else ())
+    with pytest.raises(ValueError):
+        generate_batch(m, contexts, DecodeConfig(max_tokens=3), eou_id=3, states=states)
+    assert [(s.ids, s.hs) for s in states] == kept  # nothing was decoded
+
+
+def test_greedy_choice_in_float32_equals_float64_masked_argmax():
+    rng = np.random.default_rng(4)
+    logits = rng.normal(size=(40, 9)).astype(np.float32)
+    logits[:10] = np.round(logits[:10])  # many ties, the first one wins
+    logits[10:15, 2:5] = logits[10:15].max(axis=1, keepdims=True) + 1  # a tie for the max
+    logits[15:18, :] = 0.0  # everything ties
+    logits[18, 6] = np.inf
+    logits[19, 1] = -np.inf
+    top = np.float32(30.0)  # one float32 ulp apart: a narrower dtype would tie them
+    logits[20:25, 3], logits[20:25, 7] = top, np.nextafter(top, np.float32(np.inf))
+    greedy = DecodeConfig()
+    for banned in ([], [2], [2, 3], [0, 1, 6], list(range(8))):
+        masked = logits.astype(np.float64)
+        masked[:, banned] = -np.inf
+        want = masked.argmax(axis=1)
+        got = _choose(logits, greedy, banned, [None] * len(logits))
+        assert np.array_equal(got, want), banned
+        assert np.array_equal(_choose(logits.astype(np.float64), greedy, banned, []), want)
+        assert not np.isin(got, banned).any()
+
+
+def test_every_step_runs_two_rows_when_one_reply_is_left(monkeypatch):
+    m = init_model(TINY, seed=5)
+    decode = DecodeConfig(mode="top_k", k=7, max_tokens=10)
+    contexts = [[1, 2], [5], [2, 4, 6], [6, 2, 2], [4, 4], [1]]
+    rngs = lambda: [np.random.default_rng([2, i]) for i in range(len(contexts))]
+    alone = [generate(m, c, decode, eou_id=3, rng=r) for c, r in zip(contexts, rngs())]
+    streams_fed, rows_run = [], []
+
+    def feed(model, layers, streams, h0):
+        streams_fed.append(len(streams))
+        return feed_(model, layers, streams, h0)
+
+    def forward_cached(model, ids, batch_sizes, readout, h0=None, layers=None):
+        rows_run.extend([*batch_sizes.tolist(), len(readout)])
+        return forward_cached_(model, ids, batch_sizes, readout, h0, layers)
+
+    feed_, forward_cached_ = model_mod._feed, model_mod._forward_cached
+    monkeypatch.setattr(model_mod, "_feed", feed)
+    monkeypatch.setattr(model_mod, "_forward_cached", forward_cached)
+    states = [DecodeState() for _ in contexts]
+    outs = generate_batch(m, contexts, decode, eou_id=3, rngs=rngs(), states=states)
+    monkeypatch.undo()
+    assert outs == alone
+    # the replies ended at different steps, down to one left running
+    assert streams_fed[1] == len(contexts) and 1 in streams_fed
+    assert min(rows_run) >= 2
+    for ctx, out, state in zip(contexts, outs, states):
+        assert state.ids == (*ctx, *out)
+        _assert_state_is_scratch_encoding(m, state)
 
 
 def test_top_k_temperature_limit_is_greedy():

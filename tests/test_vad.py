@@ -139,6 +139,30 @@ def test_mean_vad_stays_in_unit_cube(vads):
         assert 0.0 <= comp <= 1.0
 
 
+def _numpy_mean_vad(lexicon, tokens) -> np.ndarray:
+    """The array formula: a float64 sum of to_array() rows from zeros, divided by the count."""
+    acc = np.zeros(3, dtype=np.float64)
+    for token in tokens:
+        acc += lexicon.lookup(token).to_array()
+    return acc / len(tokens)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(*[st.floats(0.0, 1.0)] * 3), min_size=1, max_size=6),
+    st.lists(st.integers(0, 8), min_size=1, max_size=40),
+    st.tuples(*[st.floats(0.0, 1.0, width=32)] * 3),
+)
+def test_utterance_mean_vad_has_the_bits_of_the_array_formula(vads, picks, default):
+    # w0..w5 may be listed; w6..w8 never are, so they take the default
+    lex = load_lexicon([(f"w{i}", *vad) for i, vad in enumerate(vads)],
+                       default=VadVector(*np.float32(default)))
+    tokens = [f"w{k}" for k in picks]
+    got = utterance_mean_vad(lex, tokens)
+    assert all(type(x) is float for x in (got.valence, got.arousal, got.dominance))
+    assert got.to_array().tobytes() == _numpy_mean_vad(lex, tokens).tobytes()
+
+
 def _matrix(rows) -> VadMatrix:
     lex = make_lexicon([(f"w{i}", *row) for i, row in enumerate(rows)])
     return align_vocab(lex, [f"w{i}" for i in range(len(rows))])
