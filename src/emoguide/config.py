@@ -20,6 +20,7 @@ import os
 from dataclasses import dataclass
 from typing import Sequence
 
+from .checks import check_int
 from .corpus import FilterRules, SynthConfig, load_blocklist
 from .model import DecodeConfig, ModelConfig
 from .objective import PegeConfig
@@ -115,13 +116,12 @@ class RunConfig:
         if not isinstance(raw, dict):
             raise ConfigError(f"config root must be an object, got {type(raw).__name__}")
         data = _merge(_DEFAULTS, raw, crumb="")
-        if type(data["seed"]) is not int or data["seed"] < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {data['seed']!r}")
         for key, value in data["paths"].items():
             if value is not None and not isinstance(value, str):
                 raise ConfigError(f"paths.{key} must be a string or null, got {value!r}")
         data["paths"] = _apply_env(data["paths"])
         config = cls(data=data)
+        config._build(check_int, name="seed", value=data["seed"], minimum=0)
         # Build every section once, so any stage rejects any invalid section.
         # The vocabulary size and the seed utterances come from input files;
         # placeholders stand in for them here.

@@ -40,6 +40,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
+from .checks import INT64_MAX, check_int, check_real, check_tuple
 from .polarity import NEGATIVE, NEUTRAL, POSITIVE, PolarityClassifier, PolarityDistribution
 from .resources import read_lines
 from .vad import VadVector, tokenize, utterance_mean_vad
@@ -166,20 +167,19 @@ class SynthConfig:
     max_words: int = 7
 
     def __post_init__(self) -> None:
-        if type(self.num_dialogs) is not int or self.num_dialogs < 1:
-            raise ValueError(f"num_dialogs must be positive, got {self.num_dialogs!r}")
-        lo, hi = self.turns_range
-        if lo < 3 or hi < lo:
-            raise ValueError(f"turns_range must satisfy 3 <= lo <= hi, got {self.turns_range!r}")
-        if not any(n % 2 == 1 for n in range(lo, hi + 1)):
+        # numpy draws and sizes with int64, and draws word counts below max_words + 1
+        check_int("num_dialogs", self.num_dialogs, 1, INT64_MAX)
+        lo, hi = check_tuple("turns_range", self.turns_range, 2)
+        check_int("turns_range[0]", lo, 3, INT64_MAX)
+        check_int("turns_range[1]", hi, lo, INT64_MAX)
+        if lo == hi and lo % 2 == 0:
             raise ValueError("turns_range contains no odd utterance count")
         for name in ("polarity_mix", "trajectory_mix"):
-            mix = getattr(self, name)
-            if len(mix) != 3 or any(not math.isfinite(w) or w < 0 for w in mix) or sum(mix) <= 0:
-                raise ValueError(f"{name} must be 3 nonnegative weights, got {mix!r}")
-        words = (self.min_words, self.max_words)
-        if any(type(n) is not int for n in words) or not 1 <= self.min_words <= self.max_words:
-            raise ValueError(f"need integers 1 <= min_words <= max_words, got {words!r}")
+            mix = check_tuple(name, getattr(self, name), 3)
+            if sum(check_real(f"{name}[{i}]", w, 0.0) for i, w in enumerate(mix)) <= 0:
+                raise ValueError(f"{name} must have a positive sum, got {mix!r}")
+        check_int("min_words", self.min_words, 1, INT64_MAX - 1)
+        check_int("max_words", self.max_words, self.min_words, INT64_MAX - 1)
 
 
 def apportion(weights: Sequence[float], total: int) -> list[int]:
@@ -246,11 +246,12 @@ def synthesize_corpus(gen: SynthConfig, seed: int) -> list[Dialog]:
     start_labels = [start_labels[i] for i in rng.permutation(n)]
     trajectories = [trajectories[i] for i in rng.permutation(n)]
 
-    odd_counts = [u for u in range(gen.turns_range[0], gen.turns_range[1] + 1) if u % 2 == 1]
+    first_odd, last = gen.turns_range[0] | 1, gen.turns_range[1]
+    n_odd = (last - first_odd) // 2 + 1  # the odd utterance counts in turns_range
     dialogs = []
     for i in range(n):
         start, traj = start_labels[i], trajectories[i]
-        n_utts = odd_counts[int(rng.integers(len(odd_counts)))]
+        n_utts = first_odd + 2 * int(rng.integers(n_odd))
         utterances = []
         prev_agent_band = START_BAND[start]
         for pos in range(1, n_utts + 1):
@@ -289,9 +290,7 @@ class FilterRules:
 
     def __post_init__(self) -> None:
         for name in ("first_utt_threshold", "last_utt_pos_threshold"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not math.isfinite(v) or not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1), got {v!r}")
+            check_real(name, getattr(self, name), 0.0, 1.0, low_open=True, high_open=True)
         object.__setattr__(self, "topic_blocklist", frozenset(self.topic_blocklist))
         object.__setattr__(self, "offensive_blocklist", frozenset(self.offensive_blocklist))
         object.__setattr__(self, "entity_patterns", tuple(self.entity_patterns))

@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .checks import check_int, check_real
 from .corpus import Dialog
 from .vad import VadLexicon, VadVector, tokenize, utterance_mean_vad
 from .vocab import AGENT, USER
@@ -70,9 +71,7 @@ def e_score(dialog: Dialog, lexicon: VadLexicon) -> float:
 
 
 def pege_score(peg: float, e: float) -> float:
-    if not (math.isfinite(peg) and math.isfinite(e)):
-        raise ValueError(f"scores must be finite, got {peg!r}, {e!r}")
-    return peg + e
+    return check_real("peg", peg) + check_real("e", e)
 
 
 # ------------------------------------------------------------ lexical
@@ -126,8 +125,7 @@ def distinct_n(utterances: Sequence, n: int) -> float:
     """Distinct n-grams divided by total n-grams, pooled over utterances.
     n-grams never cross utterance boundaries.
     """
-    if type(n) is not int or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    check_int("n", n)
     grams = [g for u in utterances for g in _ngrams(_as_tokens(u), n)]
     if not grams:
         raise ValueError(f"no {n}-grams in the given utterances")

@@ -46,6 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .checks import check_int, check_real, check_token_ids
 from .vocab import Vocab
 
 CKPT_MAGIC = b"EMOGCKPT"
@@ -62,9 +63,7 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         for name in ("vocab_size", "embed_dim", "hidden_dim", "num_layers", "context_window"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            check_int(name, getattr(self, name))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -154,25 +153,15 @@ def _gru_cell(zr: np.ndarray, c: np.ndarray, h_prev: np.ndarray, u_zr, u_c) -> n
 
 
 def _check_ids(streams, vocab_size: int, window: int) -> np.ndarray:
-    """Validate token id streams as one array and return them concatenated,
-    as int64.  Each stream must be 1-D, nonempty, at most ``window`` ids long
-    and of an integer dtype, and every id must lie in [0, vocab_size)."""
+    """Check token id streams and return them joined, as int64: each is 1-D, of 1 to ``window``
+    ids and an integer dtype (joined to int streams, a bool one would pass), all ids at once."""
     arrays = [np.asarray(s) for s in streams]
     if not arrays:
         raise ValueError("no token streams")
     for arr in arrays:
-        if arr.ndim != 1:
-            raise ValueError(f"expected a token id stream of shape (L,), got {arr.shape}")
-        if len(arr) == 0:
-            raise ValueError("empty token stream")
-        if len(arr) > window:
-            raise ValueError(f"input length {len(arr)} exceeds context window {window}")
-        if arr.dtype.kind not in "iu":  # signed or unsigned integers, not bool
-            raise ValueError(f"token ids must be integers, got dtype {arr.dtype}")
-    flat = np.concatenate(arrays)
-    if flat.min() < 0 or flat.max() >= vocab_size:
-        raise ValueError("token id out of range")
-    return flat.astype(np.int64)
+        if arr.ndim != 1 or not 0 < len(arr) <= window or arr.dtype.kind not in "iu":
+            raise ValueError(f"streams must be 1-D, 1 to {window} int ids, got shape {arr.shape}")
+    return check_token_ids("token ids", np.concatenate(arrays), vocab_size)
 
 
 def pack(streams: Sequence[np.ndarray], spans: Sequence[tuple[int, int]]):
@@ -343,13 +332,9 @@ class DecodeConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("greedy", "top_k"):
             raise ValueError(f"unknown decode mode {self.mode!r}")
-        if type(self.k) is not int or self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k!r}")
-        t = self.temperature  # a real number; a JSON boolean is not one
-        if isinstance(t, bool) or not math.isfinite(t) or t <= 0.0:
-            raise ValueError(f"temperature must be positive, got {self.temperature!r}")
-        if type(self.max_tokens) is not int or self.max_tokens < 0:
-            raise ValueError(f"max_tokens must be nonnegative, got {self.max_tokens!r}")
+        check_int("k", self.k)
+        check_real("temperature", self.temperature, 0.0, low_open=True)
+        check_int("max_tokens", self.max_tokens, 0)
 
 
 @dataclass
@@ -396,7 +381,7 @@ def _feed(model: Model, layers: list[tuple], streams: Sequence[Sequence[int]], h
     return logits[back], [layer["h"][last[back]] for layer in cache["layers"]]
 
 
-def _choose(logits: np.ndarray, decode: DecodeConfig, banned: list[int], rngs) -> np.ndarray:
+def _choose(logits: np.ndarray, decode: DecodeConfig, banned: np.ndarray, rngs) -> np.ndarray:
     """Each row's next token: the greedy choice, or a top-k sample drawn with
     that row's generator.  ``banned`` ids are never chosen.  Greedy masks and
     takes the argmax in the logits' dtype: widening float32 to float64 is
@@ -436,8 +421,10 @@ def generate_batch(
     row leaves the state arrays when it emits <eou>, and its final states
     are recorded then.  ``forbidden_ids`` are masked at every step,
     ``eou_id`` additionally at the first step so replies are never empty.
-    Context i samples with ``rngs[i]`` (top_k needs one per context).  As
-    temperature -> 0, top_k sampling converges to the greedy choice.
+    Both must be ids in the vocabulary that leave at least one id to choose,
+    or the call raises ValueError before it feeds anything.  Context i
+    samples with ``rngs[i]`` (top_k needs one per context).  As temperature
+    -> 0, top_k sampling converges to the greedy choice.
 
     Every context must be a 1-D, nonempty sequence of integer ids in the
     vocabulary, at most a context window long; all of a call's contexts are
@@ -453,6 +440,11 @@ def generate_batch(
     if not contexts:
         return []
     flat = _check_ids(contexts, config.vocab_size, config.context_window).tolist()
+    forbidden = check_token_ids("forbidden_ids", list(forbidden_ids), config.vocab_size)
+    eou = check_token_ids("eou_id", [] if eou_id is None else [eou_id], config.vocab_size)
+    first = np.append(forbidden, eou)  # the ids banned at the first step
+    if np.unique(first).size == config.vocab_size:
+        raise ValueError("forbidden_ids and eou_id leave no token to choose")
     ends = list(itertools.accumulate(map(len, contexts)))
     contexts = [flat[lo:hi] for lo, hi in zip([0, *ends], ends)]
     rngs = list(rngs) if rngs is not None else [None] * len(contexts)
@@ -475,9 +467,8 @@ def generate_batch(
     outs: list[list[int]] = [[] for _ in contexts]
     final: list[tuple] = [()] * len(contexts)  # each context's states once its reply ends
     live = np.arange(len(contexts))  # the contexts still replying; rows of logits and hs
-    forbidden = list(forbidden_ids)
     for step in range(decode.max_tokens):
-        banned = forbidden + [eou_id] if step == 0 and eou_id is not None else forbidden
+        banned = first if step == 0 else forbidden
         choices = _choose(logits, decode, banned, [rngs[i] for i in live])
         if eou_id is not None and eou_id in choices:
             going = choices != eou_id
@@ -507,7 +498,8 @@ def generate(
     state: DecodeState | None = None,
 ) -> list[int]:
     """Decode token ids after ``context_ids`` until <eou> or max_tokens: the
-    one-context call of ``generate_batch``, whose contract it shares."""
+    one-context call of ``generate_batch``, whose contract (the
+    ``forbidden_ids`` rule too) it shares."""
     (out,) = generate_batch(
         model,
         [context_ids],
@@ -580,11 +572,10 @@ def load_checkpoint(path) -> Model:
         header = _read_header(fh, path)
         try:
             config = ModelConfig.from_dict(header.get("config"))
+            step_count = check_int("step_count", header.get("step_count"), 0)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        step_count, tokens = header.get("step_count"), header.get("vocab")
-        if type(step_count) is not int or step_count < 0:
-            raise ValueError(f"{path}: step_count must be an integer >= 0, got {step_count!r}")
+        tokens = header.get("vocab")
         vocab_ok = isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)
         if tokens is not None and not (vocab_ok and len(tokens) == config.vocab_size):
             raise ValueError(f"{path}: vocab must be a list of {config.vocab_size} strings")

@@ -40,6 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .checks import check_int, check_real, check_token_ids, check_tuple
 from .polarity import PolarityDistribution
 from .vad import VadMatrix, VadVector, check_distribution
 
@@ -59,17 +60,11 @@ class PegeConfig:
     peg_baseline: tuple[float, float, float] = (0.5, 0.5, 0.5)
 
     def __post_init__(self) -> None:
-        if isinstance(self.alpha, bool) or not math.isfinite(self.alpha) or self.alpha < 0.0:
-            raise ValueError(f"alpha must be a nonnegative real, got {self.alpha!r}")
-        if isinstance(self.beta, bool) or not math.isfinite(self.beta) or self.beta < 0.0:
-            raise ValueError(f"beta must be a nonnegative real, got {self.beta!r}")
-        if type(self.max_turn) is not int or self.max_turn < 1:
-            raise ValueError(f"max_turn must be a positive integer, got {self.max_turn!r}")
-        baseline = self.peg_baseline
-        if len(baseline) != 3 or any(
-            isinstance(b, bool) or not math.isfinite(b) or not 0.0 <= b <= 1.0 for b in baseline
-        ):
-            raise ValueError(f"peg_baseline must lie in the unit cube, got {self.peg_baseline!r}")
+        check_real("alpha", self.alpha, 0.0)
+        check_real("beta", self.beta, 0.0)
+        check_int("max_turn", self.max_turn)
+        for i, b in enumerate(check_tuple("peg_baseline", self.peg_baseline, 3)):
+            check_real(f"peg_baseline[{i}]", b, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -91,10 +86,8 @@ def dialog_progress(context_turns: int, max_turn: int = 7) -> float:
     Starts at +1 (mirror the opener's emotion), crosses zero mid-dialog, and
     saturates at -1 (drive away from it).
     """
-    if type(context_turns) is not int or context_turns < 0:
-        raise ValueError(f"context_turns must be a nonnegative integer, got {context_turns!r}")
-    if type(max_turn) is not int or max_turn < 1:
-        raise ValueError(f"max_turn must be a positive integer, got {max_turn!r}")
+    check_int("context_turns", context_turns, 0)
+    check_int("max_turn", max_turn)
     ratio = min(context_turns, max_turn) / max_turn
     return math.cos(math.pi * ratio)
 
@@ -120,23 +113,18 @@ def emotional_distance(u1_mean, probs: np.ndarray, matrix: VadMatrix) -> float:
 
 def peg_loss(p_pos: float, eds: Sequence[float], progress: float) -> float:
     """sum_t [ p_pos * ED_t + (1 - p_pos) * progress * ED_t ]."""
-    if not math.isfinite(p_pos) or not 0.0 <= p_pos <= 1.0:
-        raise ValueError(f"p_pos must lie in [0, 1], got {p_pos!r}")
-    if not math.isfinite(progress) or not -1.0 <= progress <= 1.0:
-        raise ValueError(f"progress must lie in [-1, 1], got {progress!r}")
+    check_real("p_pos", p_pos, 0.0, 1.0)
+    check_real("progress", progress, -1.0, 1.0)
     total = 0.0
     for t, ed in enumerate(eds):
-        ed = float(ed)
-        if not math.isfinite(ed) or ed < 0.0:
-            raise ValueError(f"step {t}: emotional distance must be nonnegative, got {ed!r}")
+        ed = check_real(f"emotional distance at step {t}", float(ed), 0.0)
         total += p_pos * ed + (1.0 - p_pos) * progress * ed
     return total
 
 
 def ner_loss(p_neg: float, dists: Sequence[np.ndarray] | np.ndarray, matrix: VadMatrix) -> float:
     """sum_t p_neg * || E[vad]_t ||_2 over per-step token distributions."""
-    if not math.isfinite(p_neg) or not 0.0 <= p_neg <= 1.0:
-        raise ValueError(f"p_neg must lie in [0, 1], got {p_neg!r}")
+    check_real("p_neg", p_neg, 0.0, 1.0)
     total = 0.0
     for dist in dists:
         p = check_distribution(dist, matrix.vocab_size)
@@ -144,7 +132,7 @@ def ner_loss(p_neg: float, dists: Sequence[np.ndarray] | np.ndarray, matrix: Vad
     return total
 
 
-def _check_logits(logits: np.ndarray) -> np.ndarray:
+def _check_logits(logits: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
     arr = np.asarray(logits)
     if arr.dtype != np.longdouble:  # kept, for the finite-difference reference
         arr = arr.astype(np.float64, copy=False)
@@ -154,18 +142,10 @@ def _check_logits(logits: np.ndarray) -> np.ndarray:
         raise ValueError(f"degenerate logits shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("non-finite logits")
-    return arr
-
-
-def _check_targets(targets, steps: int, vocab_size: int) -> np.ndarray:
-    ids = np.asarray(targets)
-    if ids.ndim != 1 or ids.shape[0] != steps:
-        raise ValueError(f"expected {steps} target ids, got shape {ids.shape}")
-    if not np.issubdtype(ids.dtype, np.integer):
-        raise ValueError(f"target ids must be integers, got dtype {ids.dtype}")
-    if ids.min() < 0 or ids.max() >= vocab_size:
-        raise ValueError("target id out of range")
-    return ids.astype(np.int64)
+    ids = check_token_ids("target ids", targets, arr.shape[1])
+    if len(ids) != arr.shape[0]:
+        raise ValueError(f"expected {arr.shape[0]} target ids, got {len(ids)}")
+    return arr, ids
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -182,8 +162,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 def nll_loss(logits: np.ndarray, targets) -> float:
     """-sum_t log softmax(h_t)[y_t] (teacher forcing, natural log)."""
-    arr = _check_logits(logits)
-    ids = _check_targets(targets, arr.shape[0], arr.shape[1])
+    arr, ids = _check_logits(logits, targets)
     logp = log_softmax(arr)
     return float(-logp[np.arange(arr.shape[0]), ids].sum())
 
@@ -227,11 +206,10 @@ def pege_loss(
     sequence of one per row, so the response steps of a whole batch of
     examples go through one call; the components are sums over all rows.
     """
-    arr = _check_logits(logits)
+    arr, ids = _check_logits(logits, targets)
     T, V = arr.shape
     if matrix.vocab_size != V:
         raise ValueError(f"VAD matrix rows {matrix.vocab_size} != vocab size {V}")
-    ids = _check_targets(targets, T, V)
     u1, p_pos, p_neg, progress = _per_row(u1_mean, polarity, context_turns, T, config.max_turn)
 
     logp = log_softmax(arr)
@@ -291,8 +269,7 @@ def finite_diff_check(
     coordinate below ~1e-6 over a 1e-4 bound; in 80-bit longdouble it is
     ~1e-13.
     """
-    if not math.isfinite(eps) or eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
+    check_real("eps", eps, 0.0, low_open=True)
     x = np.array(point, dtype=REFERENCE_DTYPE)
     g = np.asarray(grad, dtype=np.float64)
     if x.shape != g.shape:
@@ -327,8 +304,7 @@ def gradient_check_suite(
     through one call, as in training, and each example's rows of that call's
     analytic gradient are compared against central differences.
     """
-    if cases < 1:
-        raise ValueError(f"cases must be positive, got {cases!r}")
+    check_int("cases", cases)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(cases):

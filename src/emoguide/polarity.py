@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .checks import check_real
 from .vad import VadLexicon
 
 POSITIVE = "positive"
@@ -34,10 +35,7 @@ class PolarityDistribution:
     p_neu: float
 
     def __post_init__(self) -> None:
-        for name, p in (("p_pos", self.p_pos), ("p_neg", self.p_neg), ("p_neu", self.p_neu)):
-            if not math.isfinite(p) or p < 0.0:
-                raise ValueError(f"{name} must be a nonnegative finite probability, got {p!r}")
-        total = self.p_pos + self.p_neg + self.p_neu
+        total = sum(check_real(n, getattr(self, n), 0.0) for n in ("p_pos", "p_neg", "p_neu"))
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"polarity probabilities sum to {total!r}, not 1")
 
@@ -51,11 +49,8 @@ class ClassifierParams:
     neutral_bias: float = 0.0
 
     def __post_init__(self) -> None:
-        t = self.temperature  # real numbers; a JSON boolean is not one
-        if isinstance(t, bool) or not math.isfinite(t) or t <= 0.0:
-            raise ValueError(f"temperature must be positive, got {self.temperature!r}")
-        if isinstance(self.neutral_bias, bool) or not math.isfinite(self.neutral_bias):
-            raise ValueError("neutral_bias must be finite")
+        check_real("temperature", self.temperature, 0.0, low_open=True)
+        check_real("neutral_bias", self.neutral_bias)
 
 
 def classify_polarity(

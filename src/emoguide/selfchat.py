@@ -25,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .checks import check_int
 from .corpus import Dialog, Utterance, read_jsonl
 from .model import DecodeConfig, DecodeState, Model, generate_batch
 from .model import generate  # noqa: F401  perfbench's tracer wraps this name here
@@ -68,12 +69,9 @@ class SelfChatConfig:
         object.__setattr__(self, "seeds", tuple(self.seeds))
         if not self.seeds:
             raise ValueError("need at least one seed utterance")
-        if type(self.turns) is not int or self.turns < 1:
-            raise ValueError(f"turns must be a positive integer, got {self.turns!r}")
-        if type(self.rng_seed) is not int or self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be a nonnegative integer, got {self.rng_seed!r}")
-        if self.decode.max_tokens < 1:
-            raise ValueError("self-chat needs decode.max_tokens >= 1")
+        check_int("turns", self.turns)
+        check_int("rng_seed", self.rng_seed, 0)
+        check_int("decode.max_tokens", self.decode.max_tokens)  # a reply needs a token
 
 
 def _run_dialog(
@@ -162,8 +160,7 @@ def self_chat(
             raise ValueError(f"{name} model has no attached vocabulary")
     if agent_model.vocab.tokens != user_model.vocab.tokens:
         raise ValueError("agent and user models use different vocabularies")
-    if type(threads) is not int or threads < 1:
-        raise ValueError(f"threads must be a positive integer, got {threads!r}")
+    check_int("threads", threads)
 
     models = {AGENT: agent_model, USER: user_model}
     items = list(enumerate(config.seeds))

@@ -24,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .checks import check_int, check_real
 from .corpus import TrainingExample
 from .model import Model, _forward_cached, backward, pack
 from .objective import PegeConfig, nll_loss, pege_loss
@@ -46,13 +47,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        lr = self.learning_rate  # a real number; a JSON boolean is not one
-        if isinstance(lr, bool) or not math.isfinite(lr) or lr <= 0.0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate!r}")
-        if type(self.batch_size) is not int or self.batch_size < 1:
-            raise ValueError(f"batch_size must be a positive integer, got {self.batch_size!r}")
-        if type(self.max_steps) is not int or self.max_steps < 1:
-            raise ValueError(f"max_steps must be a positive integer, got {self.max_steps!r}")
+        check_real("learning_rate", self.learning_rate, 0.0, low_open=True)
+        check_int("batch_size", self.batch_size)
+        check_int("max_steps", self.max_steps)
         if self.ablation not in ABLATIONS:
             raise ValueError(f"ablation must be one of {ABLATIONS}, got {self.ablation!r}")
 
@@ -199,9 +196,7 @@ def train(
     """Optimize ``model`` in place; returns it with the per-step loss log."""
     if model.vocab is None:
         raise ValueError("model needs an attached vocabulary for training")
-    if len(examples) == 0:
-        raise ValueError("no training examples")
-    if len(examples) < config.batch_size:
+    if len(examples) < config.batch_size:  # batch_size >= 1, so this rejects no examples too
         raise ValueError(
             f"batch_size {config.batch_size} exceeds example count {len(examples)}"
         )

@@ -12,13 +12,13 @@ share across threads.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .checks import check_real
 from .resources import read_lines
 
 NEUTRAL_MIDPOINT = (0.5, 0.5, 0.5)
@@ -45,12 +45,7 @@ class VadVector:
 
     def __post_init__(self) -> None:
         for name in ("valence", "arousal", "dominance"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, float(check_real(name, getattr(self, name), 0.0, 1.0)))
 
     def to_array(self) -> np.ndarray:
         return np.array([self.valence, self.arousal, self.dominance], dtype=np.float64)

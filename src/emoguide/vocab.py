@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from .checks import check_real
 from .polarity import PolarityDistribution
 
 PAD = "<pad>"
@@ -85,8 +86,7 @@ def build_vocab(words: Iterable[str]) -> Vocab:
 
 def emotion_bucket(p: float) -> int:
     """Quantize a probability into buckets 0..10 of width 0.1, round half up."""
-    if not math.isfinite(p) or not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must lie in [0, 1], got {p!r}")
+    check_real("probability", p, 0.0, 1.0)
     return min(10, max(0, math.floor(p * 10.0 + 0.5)))
 
 
@@ -114,8 +114,6 @@ def assemble_stream(
     ``segments[0]`` is the opening utterance and is never dropped; older
     middle segments are removed first until the stream fits ``window``.
     """
-    if window < 1:
-        raise ValueError(f"window must be positive, got {window}")
     out = [vocab.id(prefix[0]), vocab.id(prefix[1])]
     total = len(out) + sum(map(len, segments)) + len(tail)
     cut = 1  # segments[1:cut] are dropped, the oldest utterances after the opener

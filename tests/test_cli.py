@@ -345,6 +345,12 @@ INVALID_CONFIGS = {
     "neutral_bias_true": '{"classifier": {"neutral_bias": true}}',
     "first_utt_threshold_true": '{"filters": {"first_utt_threshold": true}}',
     "last_utt_pos_threshold_true": '{"filters": {"last_utt_pos_threshold": true}}',
+    "polarity_mix_true": '{"synth": {"polarity_mix": [true, 0, 0]}}',
+    "trajectory_mix_true": '{"synth": {"trajectory_mix": [true, 0, 0]}}',
+    # numpy draws and sizes with int64, so larger integers are config errors
+    "num_dialogs_huge": '{"synth": {"num_dialogs": 100000000000000000000000}}',
+    "max_words_huge": '{"synth": {"max_words": 100000000000000000000000}}',
+    "turns_range_huge": '{"synth": {"turns_range": [3, 1000000000000000000000000000000]}}',
 }
 
 

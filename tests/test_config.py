@@ -1,10 +1,11 @@
 """Run-config parsing: defaults, unknown keys, env overrides, hashing."""
 
+import copy
 import json
 
 import pytest
 
-from emoguide.config import ConfigError, RunConfig, default_run_config, load_run_config
+from emoguide.config import _DEFAULTS, ConfigError, RunConfig, default_run_config, load_run_config
 from emoguide.vocab import Vocab
 
 
@@ -96,6 +97,38 @@ def test_paths_fall_back_to_packaged_fixtures(tmp_path):
         config.path("nonexistent")
     explicit = RunConfig.from_dict({"paths": {"corpus": str(tmp_path / "c.jsonl")}})
     assert explicit.path("corpus") == str(tmp_path / "c.jsonl")
+
+
+def _numeric_leaves(tree, path=()):
+    """(path, default) of every number in ``tree``, list items included."""
+    for key, value in tree.items() if isinstance(tree, dict) else enumerate(tree):
+        if isinstance(value, (dict, list)):
+            yield from _numeric_leaves(value, (*path, key))
+        elif type(value) in (int, float):
+            yield (*path, key), value
+
+
+# every numeric leaf with every JSON literal it must reject; 1.5 only where an integer is due
+BAD_LEAVES = [
+    (path, literal)
+    for path, default in _numeric_leaves(_DEFAULTS)
+    for literal in ["true", '"x"', "null", "1e999"] + ["1.5"] * (type(default) is int)
+]
+
+
+@pytest.mark.parametrize(
+    "path, literal", BAD_LEAVES, ids=[".".join(map(str, p)) + "=" + v for p, v in BAD_LEAVES]
+)
+def test_every_numeric_field_names_itself_when_rejected(path, literal):
+    raw = copy.deepcopy(_DEFAULTS)
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = json.loads(literal)
+    field = [key for key in path if isinstance(key, str)][-1]  # a list item's field is the list
+    with pytest.raises(ConfigError) as exc:
+        RunConfig.from_dict(raw)
+    assert field in str(exc.value)
 
 
 def test_env_overrides_paths_only(monkeypatch):

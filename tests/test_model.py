@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -529,6 +530,43 @@ def test_a_bad_id_in_any_context_of_a_batch_raises(bad, carried, where):
     with pytest.raises(ValueError):
         generate_batch(m, contexts, DecodeConfig(max_tokens=3), eou_id=3, states=states)
     assert [(s.ids, s.hs) for s in states] == kept  # nothing was decoded
+
+
+# bans that generate_batch must reject before it decodes anything
+EVERY_ID = list(range(TINY.vocab_size))
+BAD_BANS = {
+    "every_id": dict(forbidden_ids=range(TINY.vocab_size)),
+    "every_id_with_eou": dict(forbidden_ids=[i for i in EVERY_ID if i != 3], eou_id=3),
+    "negative": dict(forbidden_ids=[-1]),
+    "too_large": dict(forbidden_ids=[TINY.vocab_size + 2]),
+    "float": dict(forbidden_ids=[1.0]),
+    "bool": dict(forbidden_ids=[True]),
+    "eou_too_large": dict(eou_id=TINY.vocab_size + 2),
+    "eou_negative": dict(eou_id=-1),
+}
+
+
+@pytest.mark.parametrize("mode", ["greedy", "top_k"])
+@pytest.mark.parametrize("ban", sorted(BAD_BANS))
+def test_bans_outside_the_vocabulary_or_of_every_id_raise(mode, ban):
+    m = init_model(TINY, seed=5)
+    decode = DecodeConfig(mode=mode, max_tokens=3)
+    rngs = lambda: [np.random.default_rng(i) for i in range(2)]
+    states = [DecodeState() for _ in range(2)]
+    generate_batch(m, [[1, 2], [5]], decode, eou_id=3, rngs=rngs(), states=states)
+    kept = [(s.ids, s.hs) for s in states]
+    contexts = [[*s.ids, 3, 4] for s in states]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a NaN warning from top_k is not a clean failure
+        with pytest.raises(ValueError, match="forbidden_ids|eou_id"):
+            generate_batch(m, contexts, decode, rngs=rngs(), states=states, **BAD_BANS[ban])
+        with pytest.raises(ValueError, match="forbidden_ids|eou_id"):
+            generate(m, [1, 2], decode, rng=np.random.default_rng(0), **BAD_BANS[ban])
+    assert [(s.ids, s.hs) for s in states] == kept  # nothing was decoded
+    # a ban that leaves one id (4) at the first step is valid; <eou> (3) ends the reply later
+    only_4 = [i for i in EVERY_ID if i not in (3, 4)]
+    out = generate(m, [1, 2], decode, eou_id=3, forbidden_ids=only_4, rng=np.random.default_rng(0))
+    assert out and set(out) == {4}
 
 
 def test_greedy_choice_in_float32_equals_float64_masked_argmax():
