@@ -27,6 +27,15 @@ reply emits <eou>.  Every GEMM of a decode call runs on at least two rows,
 so on a BLAS that gives a row the same bits at any row count M >= 2 (see
 ``_feed``), a reply's bits do not depend on the batch that decoded it.
 
+Every pass runs from the model's joined weights (``_join_weights``): each
+layer's gate weights, and layer 0's input projections of every vocabulary
+row, ``emb @ w + b``, as a (V, 2H) z|r table and a (V, H) c table.  Layer 0
+gathers a position's projections from the tables by id; a table row is a
+row of a V-row GEMM, so on that BLAS it has the bits of the GEMM over the
+gathered embeddings that it replaces.  Training joins per step, as its
+parameters change; a decode call joins once (``_prepare``), and self-chat
+prepares each model once per call and shares it across positions.
+
 Checkpoints are a single binary file: a magic string, a JSON header (config,
 step count, optional vocabulary and config hash, parameter manifest) followed
 by the raw little-endian float32 parameter buffers in manifest order.  A
@@ -42,7 +51,7 @@ import math
 import os
 import struct
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -132,10 +141,11 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.add(np.multiply(out, 0.5, out=out), 0.5, out=out)
 
 
-def _layer_weights(params: dict, layer: int):
-    """One layer's gate parameters joined: w_zrc, b_zrc, u_zr (H, 2H) and u_c."""
+def _layer_weights(params: dict, layer: int) -> tuple:
+    """One layer's gate parameters, z and r joined: (w_zr, b_zr, w_c, b_c, u_zr, u_c)."""
     w, u, b = (tuple(params[f"l{layer}.{kind}_{gate}"] for gate in "zrc") for kind in "wub")
-    return np.concatenate(w, axis=1), np.concatenate(b), np.concatenate(u[:2], axis=1), u[2]
+    zr = lambda pair: np.concatenate(pair[:2], axis=-1)
+    return zr(w), zr(b), w[2], b[2], zr(u), u[2]
 
 
 def _gru_cell(zr: np.ndarray, c: np.ndarray, h_prev: np.ndarray, u_zr, u_c) -> np.ndarray:
@@ -189,10 +199,20 @@ def pack(streams: Sequence[np.ndarray], spans: Sequence[tuple[int, int]]):
     return grid[active], batch_sizes, readout
 
 
-def _join_layers(model: Model) -> list[tuple]:
-    """Every layer's ``_layer_weights``, joined once for a caller that runs the
-    model many times with the same parameters."""
-    return [_layer_weights(model.params, layer) for layer in range(model.config.num_layers)]
+class _Weights(NamedTuple):
+    """A model's parameters joined for running (``_join_weights``); read-only,
+    so every pass and thread that runs the same parameters can share it."""
+
+    zr0: np.ndarray  # (V, 2H): layer 0's z|r input projection of every id, emb @ w_zr + b_zr
+    c0: np.ndarray  # (V, H): layer 0's candidate input projection of every id
+    layers: list[tuple]  # each layer's _layer_weights
+
+
+def _join_weights(model: Model) -> _Weights:
+    """Join the model's weights, for a caller that runs them many times."""
+    layers = [_layer_weights(model.params, layer) for layer in range(model.config.num_layers)]
+    emb, (w_zr, b_zr, w_c, b_c, _, _) = model.params["emb"], layers[0]
+    return _Weights(emb @ w_zr + b_zr, emb @ w_c + b_c, layers)
 
 
 def _forward_cached(
@@ -201,35 +221,38 @@ def _forward_cached(
     batch_sizes: np.ndarray,
     readout: np.ndarray,
     h0: Sequence[np.ndarray] | None = None,
-    layers: list[tuple] | None = None,
+    weights: _Weights | None = None,
 ):
     """Run the stack over a packed batch (see ``pack``); returns the logits at
     the packed rows ``readout`` plus everything backward() needs.
 
     Step t runs the GRU on its n_t active rows only: the streams are sorted
     longest first, so those are the first n_t rows of the previous hidden
-    state.  The projections in and out run over real positions only, and the
-    readout over the ``readout`` rows only.  ``h0`` holds each layer's (B, H)
-    initial states, in stream order (zeros without it); a stream's final
-    states are the cached ``h`` rows of its last position.  ``layers`` is
-    ``_join_layers(model)``, joined here if not given.
+    state.  Layer 0 gathers every position's input projections from the
+    tables by id; the layers above project theirs as one GEMM each.  The
+    readout runs over the ``readout`` rows only.  ``h0`` holds each layer's
+    (B, H) initial states, in stream order (zeros without it); a stream's
+    final states are the cached ``h`` rows of its last position.
+    ``weights`` is ``_join_weights(model)``, joined here if not given.
     """
     p, H = model.params, model.config.hidden_dim
     # (first row, row count) of every step
     sizes = batch_sizes.tolist()
     steps = list(zip(itertools.accumulate(sizes, initial=0), sizes))
-    x = p["emb"][ids]  # (N, D), one row per real position
+    weights = _join_weights(model) if weights is None else weights
+    # every position's input projections, z|r and c apart so that a step's
+    # rows of each are contiguous; the loop turns them into the gates
+    zr, c = weights.zr0[ids], weights.c0[ids]
     caches = []
-    for layer, (w, b, u_zr, u_c) in enumerate(layers or _join_layers(model)):
-        # every position's input projections, z|r and c apart so that a step's
-        # rows of each are contiguous; the loop turns them into the gates
-        zr, c = x @ w[:, : 2 * H] + b[: 2 * H], x @ w[:, 2 * H :] + b[2 * H :]
-        h = np.empty((len(ids), H), dtype=x.dtype)
-        h_prev = first = np.zeros((steps[0][1], H), dtype=x.dtype) if h0 is None else h0[layer]
+    for layer, (w_zr, b_zr, w_c, b_c, u_zr, u_c) in enumerate(weights.layers):
+        if layer:
+            zr, c = x @ w_zr + b_zr, x @ w_c + b_c
+        h = np.empty((len(ids), H), dtype=zr.dtype)
+        h_prev = first = np.zeros((steps[0][1], H), dtype=h.dtype) if h0 is None else h0[layer]
         for lo, n in steps:
             rows = slice(lo, lo + n)
             h[rows] = h_prev = _gru_cell(zr[rows], c[rows], h_prev[:n], u_zr, u_c)
-        caches.append({"x": x, "zr": zr, "c": c, "h": h, "h0": first, "weights": (w, u_zr, u_c)})
+        caches.append({"zr": zr, "c": c, "h": h, "h0": first, "weights": (w_zr, w_c, u_zr, u_c)})
         x = h
     logits = x[readout] @ p["out_w"] + p["out_b"]
     cache = {"ids": ids, "steps": steps, "readout": readout, "layers": caches, "top": x}
@@ -249,9 +272,10 @@ def forward(model: Model, ids) -> np.ndarray:
     return logits[0] if arr.ndim == 1 else logits
 
 
-def _layer_backward(layer: int, cache: dict, dh_out: np.ndarray, steps):
-    """Backward through one GRU layer given d(loss)/d(h) at every packed row."""
-    x, zr, c, h, (w, u_zr, u_c) = (cache[k] for k in ("x", "zr", "c", "h", "weights"))
+def _layer_backward(layer: int, cache: dict, x: np.ndarray, dh_out: np.ndarray, steps):
+    """Backward through one GRU layer given its input ``x`` and d(loss)/d(h)
+    at every packed row."""
+    zr, c, h, (w_zr, w_c, u_zr, u_c) = (cache[k] for k in ("zr", "c", "h", "weights"))
     H = h.shape[1]
     # contiguous copies, made once, instead of a transposed view per GEMM per step
     u_zrT, u_cT = np.ascontiguousarray(u_zr.T), np.ascontiguousarray(u_c.T)
@@ -285,7 +309,7 @@ def _layer_backward(layer: int, cache: dict, dh_out: np.ndarray, steps):
     db = np.concatenate([da_zr.sum(axis=0), da_c.sum(axis=0)])
     grads = {f"l{layer}.{kind}_{gate}": g[..., k * H : (k + 1) * H]
              for kind, g in zip("wub", (dw, du, db)) for k, gate in enumerate("zrc")}
-    return da_zr @ w[:, : 2 * H].T + da_c @ w[:, 2 * H :].T, grads
+    return da_zr @ w_zr.T + da_c @ w_c.T, grads
 
 
 def backward(model: Model, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
@@ -300,8 +324,12 @@ def backward(model: Model, cache: dict, dlogits: np.ndarray) -> dict[str, np.nda
     }
     dh = np.zeros_like(top)
     dh[readout] = dlogits @ p["out_w"].T
-    for layer in reversed(range(len(cache["layers"]))):
-        dh, layer_grads = _layer_backward(layer, cache["layers"][layer], dh, cache["steps"])
+    layers = cache["layers"]
+    for layer in reversed(range(len(layers))):
+        # a layer's input: the layer below's states, or layer 0's embeddings,
+        # which the forward pass gathered as table rows instead
+        x = layers[layer - 1]["h"] if layer else p["emb"][cache["ids"]]
+        dh, layer_grads = _layer_backward(layer, layers[layer], x, dh, cache["steps"])
         grads.update(layer_grads)
     grads["emb"] = _scatter_rows(cache["ids"], dh, len(p["emb"]))
     return grads
@@ -347,7 +375,7 @@ class DecodeState:
     hs: tuple[np.ndarray, ...] = ()
 
 
-def _feed(model: Model, layers: list[tuple], streams: Sequence[Sequence[int]], h0: list):
+def _feed(model: Model, weights: _Weights, streams: Sequence[Sequence[int]], h0: list):
     """Feed every stream from its initial states in one packed forward pass.
 
     ``h0`` holds each layer's (B, H) initial states, in stream order.
@@ -368,14 +396,14 @@ def _feed(model: Model, layers: list[tuple], streams: Sequence[Sequence[int]], h
         rows = [0, 0] if n == 1 else slice(None)
         ids, h0 = np.ravel(streams)[rows], [h[rows] for h in h0]
         size = len(ids)
-        logits, cache = _forward_cached(model, ids, np.array([size]), np.arange(size), h0, layers)
+        logits, cache = _forward_cached(model, ids, np.array([size]), np.arange(size), h0, weights)
         return logits[-n:], [layer["h"][-n:] for layer in cache["layers"]]
     order = sorted(range(n), key=lambda i: -len(streams[i]))  # stable
     pad = int(n == 1 or len(streams[order[0]]) > len(streams[order[1]]))
     order = order[:1] * pad + order
     packed = [streams[i] for i in order]
     ids, batch_sizes, last = pack(packed, [(len(s) - 1, len(s)) for s in packed])
-    logits, cache = _forward_cached(model, ids, batch_sizes, last, [h[order] for h in h0], layers)
+    logits, cache = _forward_cached(model, ids, batch_sizes, last, [h[order] for h in h0], weights)
     back = np.empty(n, dtype=np.int64)
     back[order[pad:]] = np.arange(pad, len(order))
     return logits[back], [layer["h"][last[back]] for layer in cache["layers"]]
@@ -401,6 +429,30 @@ def _choose(logits: np.ndarray, decode: DecodeConfig, banned: np.ndarray, rngs) 
         probs /= probs.sum()
         choices.append(rng.choice(top, p=probs))
     return np.array(choices, dtype=np.int64)
+
+
+@dataclass(frozen=True)
+class _Decoder:
+    """A model made ready to decode (``_prepare``): its joined weights and the
+    checked bans.  Read-only, so every call and thread that decodes with the
+    same model and bans can share it while the parameters stay unchanged."""
+
+    model: Model
+    weights: _Weights
+    eou_id: int | None
+    first_ban: np.ndarray  # forbidden_ids and eou_id: the ids banned at a reply's first step
+    ban: np.ndarray  # forbidden_ids: the ids banned at every later step
+
+
+def _prepare(model: Model, eou_id: int | None = None, forbidden_ids: Sequence[int] = ()) -> _Decoder:
+    """Check the bans of ``generate_batch`` and join the model's weights."""
+    vocab_size = model.config.vocab_size
+    forbidden = check_token_ids("forbidden_ids", list(forbidden_ids), vocab_size)
+    eou = check_token_ids("eou_id", [] if eou_id is None else [eou_id], vocab_size)
+    first = np.append(forbidden, eou)
+    if np.unique(first).size == vocab_size:
+        raise ValueError("forbidden_ids and eou_id leave no token to choose")
+    return _Decoder(model, _join_weights(model), eou_id, first, forbidden)
 
 
 def generate_batch(
@@ -434,17 +486,26 @@ def generate_batch(
     plus the emitted ids (<eou> is never fed).  A row's bits depend neither
     on its state nor on the other contexts of the batch (see ``_feed``), so
     a reply is the same whichever batch decodes it.  ``rngs`` and
-    ``states``, when given, have one entry per context.
+    ``states``, when given, have one entry per context.  Each call prepares
+    the model anew (``_prepare``); self-chat prepares once and calls
+    ``_decode``.
     """
+    return _decode(_prepare(model, eou_id, forbidden_ids), contexts, decode, rngs, states)
+
+
+def _decode(
+    decoder: _Decoder,
+    contexts: Sequence[Sequence[int]],
+    decode: DecodeConfig,
+    rngs: Sequence[np.random.Generator | None] | None,
+    states: Sequence[DecodeState] | None,
+) -> list[list[int]]:
+    """``generate_batch`` with the model and bans already prepared."""
+    model, weights, eou_id = decoder.model, decoder.weights, decoder.eou_id
     config = model.config
     if not contexts:
         return []
     flat = _check_ids(contexts, config.vocab_size, config.context_window).tolist()
-    forbidden = check_token_ids("forbidden_ids", list(forbidden_ids), config.vocab_size)
-    eou = check_token_ids("eou_id", [] if eou_id is None else [eou_id], config.vocab_size)
-    first = np.append(forbidden, eou)  # the ids banned at the first step
-    if np.unique(first).size == config.vocab_size:
-        raise ValueError("forbidden_ids and eou_id leave no token to choose")
     ends = list(itertools.accumulate(map(len, contexts)))
     contexts = [flat[lo:hi] for lo, hi in zip([0, *ends], ends)]
     rngs = list(rngs) if rngs is not None else [None] * len(contexts)
@@ -454,21 +515,20 @@ def generate_batch(
             raise ValueError(f"{len(given)} {name} for {len(contexts)} contexts")
     if decode.mode == "top_k" and any(rng is None for rng in rngs):
         raise ValueError("top_k decoding needs an rng")
-    layers = _join_layers(model)  # once per call, not once per step
     zeros = np.zeros(config.hidden_dim, dtype=model.dtype)
     suffixes, h0 = [], []
     for ctx, state in zip(contexts, states):
         fed = len(state.ids)
         carried = 0 < fed < len(ctx) and tuple(ctx[:fed]) == state.ids
         suffixes.append(ctx[fed:] if carried else ctx)
-        h0.append(state.hs if carried else (zeros,) * len(layers))
+        h0.append(state.hs if carried else (zeros,) * config.num_layers)
     h0 = [np.stack(hs) for hs in zip(*h0)]  # each layer's (B, H) states
-    logits, hs = _feed(model, layers, suffixes, h0)
+    logits, hs = _feed(model, weights, suffixes, h0)
     outs: list[list[int]] = [[] for _ in contexts]
     final: list[tuple] = [()] * len(contexts)  # each context's states once its reply ends
     live = np.arange(len(contexts))  # the contexts still replying; rows of logits and hs
     for step in range(decode.max_tokens):
-        banned = first if step == 0 else forbidden
+        banned = decoder.first_ban if step == 0 else decoder.ban
         choices = _choose(logits, decode, banned, [rngs[i] for i in live])
         if eou_id is not None and eou_id in choices:
             going = choices != eou_id
@@ -479,7 +539,7 @@ def generate_batch(
             break
         for i, token in zip(live.tolist(), choices.tolist()):
             outs[i].append(token)
-        logits, hs = _feed(model, layers, choices[:, None], hs)
+        logits, hs = _feed(model, weights, choices[:, None], hs)
     for row, i in enumerate(live.tolist()):
         final[i] = tuple(h[row] for h in hs)
     for ctx, out, state, hs_end in zip(contexts, outs, states, final):

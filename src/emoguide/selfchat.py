@@ -8,13 +8,19 @@ agent/user until 2*turns utterances exist, the seed included.  Each dialog
 keeps one decode state per model, so a reply feeds only the tokens added
 since that model last spoke.
 
-The dialogs of a call run in lockstep: at each position, one
-``generate_batch`` call decodes every dialog's reply, one batched GRU step
-per token.  A row's bits do not depend on the batch, and each (dialog,
-position) pair samples with its own seeded generator, so a dialog is the
-same whichever dialogs share its batch.  ``threads`` splits the seeds into
-contiguous groups decoded on their own threads; smaller groups decode
+The dialogs of a call run in lockstep: at each position, one decode call
+(``generate_batch``'s ``_decode``) decodes every dialog's reply, one batched
+GRU step per token.  A row's bits do not depend on the batch, and each
+(dialog, position) pair samples with its own seeded generator, so a dialog
+is the same whichever dialogs share its batch.  ``threads`` splits the seeds
+into contiguous groups decoded on their own threads; smaller groups decode
 slower per dialog.
+
+Each model is prepared once per call (``model._prepare``): its gate weights
+joined, layer 0's input projections of every vocabulary row tabled, and the
+bans checked.  Every position and thread group shares that preparation
+read-only, where ``generate_batch`` would redo it on each of the call's
+``2·turns − 1`` positions.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import numpy as np
 
 from .checks import check_int
 from .corpus import Dialog, Utterance, read_jsonl
-from .model import DecodeConfig, DecodeState, Model, generate_batch
+from .model import DecodeConfig, DecodeState, Model, _decode, _Decoder, _prepare
 from .model import generate  # noqa: F401  perfbench's tracer wraps this name here
 from .polarity import NEGATIVE, NEUTRAL, POSITIVE, PolarityClassifier
 from .vad import tokenize
@@ -111,34 +117,39 @@ def _run_dialog(
 
 
 def _chat(
-    models: dict[str, Model],
+    decoders: dict[str, _Decoder],
     config: SelfChatConfig,
     classifier: PolarityClassifier,
     items: Sequence[tuple[int, SeedUtterance]],
 ) -> list[Dialog]:
     """Play the dialogs of ``items`` ((index, seed) pairs) in lockstep: each
-    position's replies are one ``generate_batch`` call.  Each dialog keeps
-    one decode state per model, so a reply feeds only the tokens added since
-    that model last spoke."""
-    vocab = models[AGENT].vocab
-    eou_id, forbidden = vocab.id(EOU), sorted(vocab.structural_ids)
-    windows = {speaker: model.config.context_window for speaker, model in models.items()}
-    states = {speaker: [DecodeState() for _ in items] for speaker in models}
+    position's replies are one ``_decode`` call with the speaker's prepared
+    model.  Each dialog keeps one decode state per model, so a reply feeds
+    only the tokens added since that model last spoke."""
+    vocab = decoders[AGENT].model.vocab
+    windows = {speaker: d.model.config.context_window for speaker, d in decoders.items()}
+    states = {speaker: [DecodeState() for _ in items] for speaker in decoders}
     dialogs = [_run_dialog(vocab, windows, config, classifier, i, seed) for i, seed in items]
     turns = [next(dialog) for dialog in dialogs]
     for _ in range(1, 2 * config.turns):
         speaker = turns[0][0]  # every dialog is at the same position
-        replies = generate_batch(
-            models[speaker],
-            [context for _, context, _ in turns],
-            config.decode,
-            eou_id=eou_id,
-            forbidden_ids=forbidden,
-            rngs=[rng for _, _, rng in turns],
-            states=states[speaker],
-        )
+        contexts, rngs = [context for _, context, _ in turns], [rng for _, _, rng in turns]
+        replies = _decode(decoders[speaker], contexts, config.decode, rngs, states[speaker])
         turns = [dialog.send(ids) for dialog, ids in zip(dialogs, replies)]
     return turns
+
+
+def _prepare_speakers(agent_model: Model, user_model: Model) -> dict[str, _Decoder]:
+    """Check that both models carry the same vocabulary, and prepare each
+    speaker's model to decode with its structural ids banned."""
+    for name, model in (("agent", agent_model), ("user", user_model)):
+        if model.vocab is None:
+            raise ValueError(f"{name} model has no attached vocabulary")
+    if agent_model.vocab.tokens != user_model.vocab.tokens:
+        raise ValueError("agent and user models use different vocabularies")
+    vocab = agent_model.vocab
+    bans = dict(eou_id=vocab.id(EOU), forbidden_ids=sorted(vocab.structural_ids))
+    return {AGENT: _prepare(agent_model, **bans), USER: _prepare(user_model, **bans)}
 
 
 def self_chat(
@@ -155,16 +166,10 @@ def self_chat(
     are split into ``threads`` contiguous groups, each decoded in lockstep
     on its own thread; a dialog is the same in any group.
     """
-    for name, model in (("agent", agent_model), ("user", user_model)):
-        if model.vocab is None:
-            raise ValueError(f"{name} model has no attached vocabulary")
-    if agent_model.vocab.tokens != user_model.vocab.tokens:
-        raise ValueError("agent and user models use different vocabularies")
+    decoders = _prepare_speakers(agent_model, user_model)
     check_int("threads", threads)
-
-    models = {AGENT: agent_model, USER: user_model}
     items = list(enumerate(config.seeds))
-    chat = lambda group: _chat(models, config, classifier, group)
+    chat = lambda group: _chat(decoders, config, classifier, group)
     k = min(threads, len(items))
     if k == 1:
         return chat(items)

@@ -493,6 +493,18 @@ def test_input_that_is_not_utf8_names_the_file_and_line(workdir, tmp_path, capsy
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {bad}: line 2: not UTF-8"), err
 
 
+def test_config_too_large_to_allocate_exits_1_with_one_line(tmp_path, capsys):
+    # a valid int64 that passes the config checks; synthesize_corpus then asks
+    # for a label list of ~1.5e18 items, which CPython refuses before allocating
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps({"synth": {"num_dialogs": 2**62}}))
+    out = tmp_path / "c.jsonl"
+    assert main(["synth", str(config), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: out of memory\n"
+    assert not out.exists()
+
+
 def test_corrupt_corpus_exits_1(workdir, tmp_path, capsys):
     corrupt = tmp_path / "corrupt.jsonl"
     corrupt.write_text('{"source_id": "x"}\nnot json\n')

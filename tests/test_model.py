@@ -24,7 +24,7 @@ from emoguide.model import (
     generate,
     generate_batch,
     init_model,
-    _join_layers,
+    _join_weights,
     load_checkpoint,
     model_checksum,
     pack,
@@ -280,11 +280,11 @@ def test_decode_step_logits_match_forward_at_every_position(dtype, rtol, atol):
     m = init_model(TINY, seed=9).astype(dtype)
     ids = np.random.default_rng(3).integers(0, TINY.vocab_size, size=TINY.context_window)
     full = forward(m, ids)
-    layers = _join_layers(m)
-    hs = [np.zeros((1, TINY.hidden_dim), dtype=dtype) for _ in layers]
+    weights = _join_weights(m)
+    hs = [np.zeros((1, TINY.hidden_dim), dtype=dtype) for _ in weights.layers]
     stepped = []
     for token in ids.tolist():
-        logits, hs = _feed(m, layers, [[token]], hs)
+        logits, hs = _feed(m, weights, [[token]], hs)
         stepped.append(logits[0])
     stepped = np.stack(stepped)
     assert stepped.dtype == full.dtype == dtype
@@ -294,28 +294,28 @@ def test_decode_step_logits_match_forward_at_every_position(dtype, rtol, atol):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_batched_feed_is_bit_equal_to_each_stream_alone(monkeypatch, dtype):
     m = init_model(TINY, seed=9).astype(dtype)
-    layers = _join_layers(m)
+    weights = _join_weights(m)
     rng = np.random.default_rng(5)
     streams = [rng.integers(0, TINY.vocab_size, size=n).tolist() for n in (3, 7, 1, 7, 12)]
-    h0 = [rng.normal(size=(len(streams), TINY.hidden_dim)).astype(dtype) for _ in layers]
+    h0 = [rng.normal(size=(len(streams), TINY.hidden_dim)).astype(dtype) for _ in weights.layers]
 
-    def at_least_two_rows(model, ids, batch_sizes, readout, h0=None, layers=None):
+    def at_least_two_rows(model, ids, batch_sizes, readout, h0=None, weights=None):
         # a 1-row GEMM would take the GEMV path, whose bits differ
         assert batch_sizes.min() >= 2 and len(readout) >= 2
-        return forward_cached(model, ids, batch_sizes, readout, h0, layers)
+        return forward_cached(model, ids, batch_sizes, readout, h0, weights)
 
     forward_cached = model_mod._forward_cached
     monkeypatch.setattr(model_mod, "_forward_cached", at_least_two_rows)
-    logits, hs = _feed(m, layers, streams, h0)
+    logits, hs = _feed(m, weights, streams, h0)
     assert logits.shape == (len(streams), TINY.vocab_size)
     for i, stream in enumerate(streams):
-        alone, alone_hs = _feed(m, layers, [stream], [h[i : i + 1] for h in h0])
+        alone, alone_hs = _feed(m, weights, [stream], [h[i : i + 1] for h in h0])
         assert np.array_equal(alone[0], logits[i])
         assert all(np.array_equal(a[0], h[i]) for a, h in zip(alone_hs, hs))
         # fed in two parts, the second from the first's states: the same bits
-        _, part = _feed(m, layers, [stream[:1]], [h[i : i + 1] for h in h0])
+        _, part = _feed(m, weights, [stream[:1]], [h[i : i + 1] for h in h0])
         if len(stream) > 1:
-            rest, part = _feed(m, layers, [stream[1:]], part)
+            rest, part = _feed(m, weights, [stream[1:]], part)
             assert np.array_equal(rest[0], logits[i])
         assert all(np.array_equal(a[0], h[i]) for a, h in zip(part, hs))
 
@@ -327,23 +327,36 @@ def test_blas_gives_a_row_the_same_bits_at_any_row_count(dtype, config):
     any code here: each row of every GEMM the model runs gets the same bits
     for any row count M >= 2 and any position in the batch."""
     m = init_model(config, seed=1).astype(dtype)
-    H = config.hidden_dim
+    weights = _join_weights(m)
     operands = [m.params["out_w"]]
-    for w, _, u_zr, u_c in _join_layers(m):
-        operands += [w[:, : 2 * H], w[:, 2 * H :], u_zr, u_c]  # as _forward_cached slices them
+    for w_zr, _, w_c, _, u_zr, u_c in weights.layers:
+        operands += [w_zr, w_c, u_zr, u_c]
     rng = np.random.default_rng(2)
+    counts = (2, 3, 4, 5, 7, 8, 9, 16, 17, 31, 64, 139)
+    message = (
+        f"this BLAS gives a {dtype.__name__} GEMM row different bits in a "
+        "{}-row product than in a {}-row one ({}), so self-chat transcripts can "
+        "depend on the decode batch and on --threads, and they and loss logs can "
+        "depend on layer 0's input tables (README, Determinism)"
+    )
     for operand in operands:
         rows = rng.normal(size=(300, operand.shape[0])).astype(dtype)
         whole = rows @ operand
-        for count in (2, 3, 4, 5, 7, 8, 9, 16, 17, 31, 64, 139):
+        for count in counts:
             for start in (0, 1, 6):
                 part = rows[start : start + count] @ operand
                 assert np.array_equal(part, whole[start : start + count]), (
-                    f"this BLAS gives a {dtype.__name__} GEMM row different bits in a "
-                    f"{count}-row product than in a 300-row one ({operand.shape}), so "
-                    "self-chat transcripts can depend on the decode batch and on "
-                    "--threads (README, Determinism)"
+                    message.format(count, 300, operand.shape)
                 )
+    # a table row is a row of the V-row GEMM emb @ w + b, and stands in for
+    # the same row of the GEMM over the gathered embeddings emb[ids]
+    emb, (w_zr, b_zr, w_c, b_c, _, _) = m.params["emb"], weights.layers[0]
+    for table, w, b in ((weights.zr0, w_zr, b_zr), (weights.c0, w_c, b_c)):
+        for count in counts:
+            ids = rng.integers(0, config.vocab_size, size=count)
+            assert np.array_equal(table[ids], emb[ids] @ w + b), (
+                message.format(count, config.vocab_size, w.shape)
+            )
 
 
 def _masked_sigmoid(x):
@@ -404,9 +417,9 @@ def _count_steps(monkeypatch) -> list[int]:
     """Record every token ``_feed`` is given from here on."""
     fed = []
 
-    def counting(model, layers, streams, h0):
+    def counting(model, weights, streams, h0):
         fed.extend(token for stream in streams for token in stream)
-        return feed(model, layers, streams, h0)
+        return feed(model, weights, streams, h0)
 
     feed = model_mod._feed
     monkeypatch.setattr(model_mod, "_feed", counting)
@@ -415,9 +428,9 @@ def _count_steps(monkeypatch) -> list[int]:
 
 def _encode(m, ids) -> list[np.ndarray]:
     """Each layer's hidden state after feeding ``ids`` from zeros."""
-    layers = _join_layers(m)
-    zeros = [np.zeros((1, m.config.hidden_dim), dtype=m.dtype) for _ in layers]
-    _, hs = _feed(m, layers, [list(ids)], zeros)
+    weights = _join_weights(m)
+    zeros = [np.zeros((1, m.config.hidden_dim), dtype=m.dtype) for _ in weights.layers]
+    _, hs = _feed(m, weights, [list(ids)], zeros)
     return [h[0] for h in hs]
 
 
@@ -598,13 +611,13 @@ def test_every_step_runs_two_rows_when_one_reply_is_left(monkeypatch):
     alone = [generate(m, c, decode, eou_id=3, rng=r) for c, r in zip(contexts, rngs())]
     streams_fed, rows_run = [], []
 
-    def feed(model, layers, streams, h0):
+    def feed(model, weights, streams, h0):
         streams_fed.append(len(streams))
-        return feed_(model, layers, streams, h0)
+        return feed_(model, weights, streams, h0)
 
-    def forward_cached(model, ids, batch_sizes, readout, h0=None, layers=None):
+    def forward_cached(model, ids, batch_sizes, readout, h0=None, weights=None):
         rows_run.extend([*batch_sizes.tolist(), len(readout)])
-        return forward_cached_(model, ids, batch_sizes, readout, h0, layers)
+        return forward_cached_(model, ids, batch_sizes, readout, h0, weights)
 
     feed_, forward_cached_ = model_mod._feed, model_mod._forward_cached
     monkeypatch.setattr(model_mod, "_feed", feed)

@@ -150,9 +150,16 @@ def test_threads_do_not_change_results(models, classifier):
         assert self_chat(agent, user, config, classifier, threads=threads) == single
 
 
-def _stateless(model, contexts, decode, *, states=None, **kwargs):
-    """``generate_batch`` as called before decode states: every context from zeros."""
-    return model_mod.generate_batch(model, contexts, decode, **kwargs)
+def _stateless(calls):
+    """``selfchat._decode`` as called before decode states: every context from
+    zeros.  Each call is counted in ``calls``, so a test can assert the patch
+    was hit."""
+
+    def decode(decoder, contexts, config, rngs, states):
+        calls.append(len(contexts))
+        return model_mod._decode(decoder, contexts, config, rngs, None)
+
+    return decode
 
 
 def _with_window(models, window):
@@ -167,8 +174,10 @@ def test_carried_decode_state_keeps_transcripts(models, classifier, monkeypatch,
     agent, user = _with_window(models, window)
     config = SelfChatConfig(seeds=SEEDS, turns=6, decode=decode, rng_seed=5)
     carried = self_chat(agent, user, config, classifier)
-    monkeypatch.setattr(selfchat, "generate_batch", _stateless)
+    calls = []
+    monkeypatch.setattr(selfchat, "_decode", _stateless(calls))
     assert carried == self_chat(agent, user, config, classifier)
+    assert calls == [len(SEEDS)] * (2 * config.turns - 1)  # every reply went through the patch
     if window == 40:  # the stream outgrew the window, so assemble_stream dropped segments
         assert all(sum(len(u.tokens) + 2 for u in d.utterances) + 2 > 40 for d in carried)
 
@@ -182,12 +191,13 @@ def test_dialogs_do_not_depend_on_the_batch(models, classifier, window, decode):
     seeds = load_seed_utterances(data_path(SEEDS_FILE))[:14]
     config = SelfChatConfig(seeds=seeds, turns=5, decode=decode, rng_seed=3)
     everyone = self_chat(agent, user, config, classifier)
-    speakers = {AGENT: agent, USER: user}
+    decoders = selfchat._prepare_speakers(agent, user)
+    assert decoders[AGENT].model is agent and decoders[USER].model is user
     items = list(enumerate(seeds))
     for size in (1, 2, 7):
         batches = [items[lo : lo + size] for lo in range(0, len(items), size)]
         dialogs = [
-            d for b in batches for d in selfchat._chat(speakers, config, classifier, b)
+            d for b in batches for d in selfchat._chat(decoders, config, classifier, b)
         ]
         assert dialogs == everyone, size
     if window == 40:  # some streams were truncated, so they restarted from zeros
@@ -198,9 +208,9 @@ def test_each_model_feeds_each_stream_token_once(models, classifier, monkeypatch
     agent, user = models
     fed = {id(agent.params): 0, id(user.params): 0}
 
-    def counting(model, layers, streams, h0):
+    def counting(model, weights, streams, h0):
         fed[id(model.params)] += sum(len(stream) for stream in streams)
-        return feed(model, layers, streams, h0)
+        return feed(model, weights, streams, h0)
 
     feed = model_mod._feed
     monkeypatch.setattr(model_mod, "_feed", counting)
@@ -215,6 +225,31 @@ def test_each_model_feeds_each_stream_token_once(models, classifier, monkeypatch
             stream = 2 + sum(n + 2 for n in lengths[:last]) + 1 + lengths[last]
             assert stream <= model.config.context_window
             assert fed[id(model.params)] == stream
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_each_model_is_prepared_once_per_call(models, classifier, monkeypatch, threads):
+    agent, user = models
+    prepared, joins = [], []
+
+    def prepare(model, *args, **kwargs):
+        prepared.append(model)
+        return prepare_(model, *args, **kwargs)
+
+    def join_weights(model):
+        joins.append(model)
+        return join_weights_(model)
+
+    prepare_, join_weights_ = selfchat._prepare, model_mod._join_weights
+    monkeypatch.setattr(selfchat, "_prepare", prepare)
+    monkeypatch.setattr(model_mod, "_join_weights", join_weights)
+    config = SelfChatConfig(seeds=SEEDS, turns=4)
+    dialogs = self_chat(agent, user, config, classifier, threads=threads)
+    monkeypatch.undo()
+    # once per model, whatever the thread groups and the 2·turns − 1 positions,
+    # and no decode call joins the weights again
+    assert [id(m) for m in prepared] == [id(m) for m in joins] == [id(agent), id(user)]
+    assert dialogs == self_chat(agent, user, config, classifier)
 
 
 # ------------------------------------------------------------ failures
