@@ -12,6 +12,15 @@ import numpy as np
 
 INT64_MAX = 2**63 - 1  # the largest integer numpy draws or sizes with
 
+# Upper bounds of the size-like config fields.  The loader checks them, so a
+# config it accepts cannot ask for work that no run finishes.  Each sits far
+# above PosEmoDial's scale (~820k dialogs, ~3M utterances, so ~3.7 per
+# dialog) and the default model's (embed 64, hidden 128, one layer).
+MAX_UTTERANCES = 1000  # per dialog: its ~n/2 training examples hold ~n²/4 context utterances in all
+MAX_WORDS = 1000  # per utterance or reply: ~8 times the default 128-id window a stream must fit
+MAX_WIDTH = 4096  # embed_dim, hidden_dim: a layer's 3·H² recurrent weights take 201 MB in float32
+MAX_LAYERS = 64  # each layer is one more sequential pass over every position, forward and back
+
 
 def check_int(name: str, value, minimum: int = 1, maximum: int | None = None) -> int:
     """A Python int in [minimum, maximum]; no upper bound when ``maximum`` is None."""

@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from .checks import INT64_MAX, check_int, check_real, check_tuple
+from .checks import INT64_MAX, MAX_UTTERANCES, MAX_WORDS, check_int, check_real, check_tuple
 from .polarity import NEGATIVE, NEUTRAL, POSITIVE, PolarityClassifier, PolarityDistribution
 from .resources import read_lines
 from .vad import VadVector, tokenize, utterance_mean_vad
@@ -167,19 +167,19 @@ class SynthConfig:
     max_words: int = 7
 
     def __post_init__(self) -> None:
-        # numpy draws and sizes with int64, and draws word counts below max_words + 1
+        # numpy draws and sizes with int64; see checks.py for the other bounds
         check_int("num_dialogs", self.num_dialogs, 1, INT64_MAX)
         lo, hi = check_tuple("turns_range", self.turns_range, 2)
-        check_int("turns_range[0]", lo, 3, INT64_MAX)
-        check_int("turns_range[1]", hi, lo, INT64_MAX)
+        check_int("turns_range[0]", lo, 3, MAX_UTTERANCES)
+        check_int("turns_range[1]", hi, lo, MAX_UTTERANCES)
         if lo == hi and lo % 2 == 0:
             raise ValueError("turns_range contains no odd utterance count")
         for name in ("polarity_mix", "trajectory_mix"):
             mix = check_tuple(name, getattr(self, name), 3)
             if sum(check_real(f"{name}[{i}]", w, 0.0) for i, w in enumerate(mix)) <= 0:
                 raise ValueError(f"{name} must have a positive sum, got {mix!r}")
-        check_int("min_words", self.min_words, 1, INT64_MAX - 1)
-        check_int("max_words", self.max_words, self.min_words, INT64_MAX - 1)
+        check_int("min_words", self.min_words, 1, MAX_WORDS)
+        check_int("max_words", self.max_words, self.min_words, MAX_WORDS)
 
 
 def apportion(weights: Sequence[float], total: int) -> list[int]:

@@ -13,9 +13,12 @@ parameters and checkpoints stay per gate.
 A batch of streams runs packed (``pack``): sorted longest first and laid out
 time-major, the rows of step t are the streams still running at t, so the
 GRU steps only those rows and no padded position is ever computed.  The
-readout computes logits only at the packed rows the caller asks for (in
-training, the rows that predict response tokens), and backward() takes the
-loss gradient at those rows alone.
+readout computes logits only at the packed rows the caller asks for, given
+as (stream, start, stop) spans, and backward() takes the loss gradient at
+those rows alone.  A stream can carry several spans: a GRU state depends
+only on the tokens before it, so training runs the examples of a dialog
+whose streams nest as one stream, with each example's response rows read
+out of it.
 
 Decoding runs the same packed forward pass, from each stream's carried
 hidden state: ``generate_batch`` feeds every context's new tokens as one
@@ -55,7 +58,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .checks import check_int, check_real, check_token_ids
+from .checks import MAX_LAYERS, MAX_WIDTH, MAX_WORDS, check_int, check_real, check_token_ids
 from .vocab import Vocab
 
 CKPT_MAGIC = b"EMOGCKPT"
@@ -71,8 +74,11 @@ class ModelConfig:
     context_window: int = 128
 
     def __post_init__(self) -> None:
-        for name in ("vocab_size", "embed_dim", "hidden_dim", "num_layers", "context_window"):
-            check_int(name, getattr(self, name))
+        check_int("vocab_size", self.vocab_size)
+        check_int("embed_dim", self.embed_dim, maximum=MAX_WIDTH)
+        check_int("hidden_dim", self.hidden_dim, maximum=MAX_WIDTH)
+        check_int("num_layers", self.num_layers, maximum=MAX_LAYERS)
+        check_int("context_window", self.context_window)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -174,28 +180,33 @@ def _check_ids(streams, vocab_size: int, window: int) -> np.ndarray:
     return check_token_ids("token ids", np.concatenate(arrays), vocab_size)
 
 
-def pack(streams: Sequence[np.ndarray], spans: Sequence[tuple[int, int]]):
+def pack(streams: Sequence[np.ndarray], spans: Sequence[tuple[int, int, int]]):
     """Lay out token streams, sorted longest first, as one packed batch.
 
     The layout is that of PyTorch's ``PackedSequence``: time-major, and the
     rows of step t are one contiguous slice holding the n_t streams still
     running at t, in stream order.  Only real positions get a row, so no
-    padding is computed.  ``spans[i]`` is the [start, stop) range of stream
-    i's positions whose logits are wanted.
+    padding is computed.  Each span ``(i, start, stop)`` asks for the logits
+    at positions [start, stop) of stream i; a stream may have any number of
+    spans, and the shared-prefix training of ``train._pack_batch`` gives a
+    stream one span per example it carries.
 
     Returns (ids, batch_sizes, readout): the packed ids, n_t for every step,
-    and the packed rows of the wanted positions, stream by stream.
+    and the packed rows of the wanted positions, span by span.
     """
     lengths = np.array([len(s) for s in streams])
     if lengths.size == 0 or lengths[-1] < 1 or np.any(lengths[1:] > lengths[:-1]):
         raise ValueError("streams must be nonempty and sorted longest first")
+    for i, lo, hi in spans:
+        if not (0 <= i < len(streams) and 0 <= lo <= hi <= lengths[i]):
+            raise ValueError(f"span ({i}, {lo}, {hi}) is not a range of a stream")
     active = np.arange(lengths[0])[:, None] < lengths  # (L, B): stream i runs at step t
     grid = np.zeros(active.shape, dtype=np.int64)
     for i, stream in enumerate(streams):
         grid[: len(stream), i] = stream
     batch_sizes = active.sum(axis=1)
     starts = np.cumsum(batch_sizes) - batch_sizes  # first row of each step
-    readout = np.concatenate([starts[lo:hi] + i for i, (lo, hi) in enumerate(spans)])
+    readout = np.concatenate([starts[lo:hi] + i for i, lo, hi in spans])
     return grid[active], batch_sizes, readout
 
 
@@ -267,7 +278,7 @@ def forward(model: Model, ids) -> np.ndarray:
     batch = arr[None] if arr.ndim == 1 else arr
     B, L = batch.shape
     flat = _check_ids(batch, model.config.vocab_size, model.config.context_window)
-    logits, _ = _forward_cached(model, *pack(flat.reshape(B, L), [(0, L)] * B))
+    logits, _ = _forward_cached(model, *pack(flat.reshape(B, L), [(i, 0, L) for i in range(B)]))
     logits = logits.reshape(B, L, -1)
     return logits[0] if arr.ndim == 1 else logits
 
@@ -362,7 +373,7 @@ class DecodeConfig:
             raise ValueError(f"unknown decode mode {self.mode!r}")
         check_int("k", self.k)
         check_real("temperature", self.temperature, 0.0, low_open=True)
-        check_int("max_tokens", self.max_tokens, 0)
+        check_int("max_tokens", self.max_tokens, 0, MAX_WORDS)
 
 
 @dataclass
@@ -402,7 +413,7 @@ def _feed(model: Model, weights: _Weights, streams: Sequence[Sequence[int]], h0:
     pad = int(n == 1 or len(streams[order[0]]) > len(streams[order[1]]))
     order = order[:1] * pad + order
     packed = [streams[i] for i in order]
-    ids, batch_sizes, last = pack(packed, [(len(s) - 1, len(s)) for s in packed])
+    ids, batch_sizes, last = pack(packed, [(i, len(s) - 1, len(s)) for i, s in enumerate(packed)])
     logits, cache = _forward_cached(model, ids, batch_sizes, last, [h[order] for h in h0], weights)
     back = np.empty(n, dtype=np.int64)
     back[order[pad:]] = np.arange(pad, len(order))

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .checks import check_int
+from .checks import MAX_UTTERANCES, check_int
 from .corpus import Dialog, Utterance, read_jsonl
 from .model import DecodeConfig, DecodeState, Model, _decode, _Decoder, _prepare
 from .model import generate  # noqa: F401  perfbench's tracer wraps this name here
@@ -75,7 +75,7 @@ class SelfChatConfig:
         object.__setattr__(self, "seeds", tuple(self.seeds))
         if not self.seeds:
             raise ValueError("need at least one seed utterance")
-        check_int("turns", self.turns)
+        check_int("turns", self.turns, maximum=MAX_UTTERANCES // 2)  # a dialog of 2·turns utterances
         check_int("rng_seed", self.rng_seed, 0)
         check_int("decode.max_tokens", self.decode.max_tokens)  # a reply needs a token
 

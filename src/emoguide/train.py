@@ -1,13 +1,24 @@
 """Training loop: teacher forcing with the composite objective.
 
-Examples are encoded once into id streams; each step samples a batch,
-sorts it by stream length (longest first) and packs it (``model.pack``), so
-the recurrent stack computes no padding.  Logits are computed only at the
-rows that predict response tokens, and all of the batch's response rows go
-through one composite-loss call (float64), each row with its own example's
-opener, polarity and context turns.  The gradient at those rows is
-backpropagated through the model (model dtype, float32 by default) and
-applied with a hand-rolled Adam update.
+Examples are encoded once per call into id streams.  Every agent turn of a
+dialog is its own example, so an example's stream is usually a prefix of a
+later turn's stream in the same dialog.  The examples whose streams nest are
+linked into one chain, once per ``train``/``evaluate_nll`` call; the check
+compares the streams themselves, so a stream that ``assemble_stream``
+truncated, which does not continue the earlier turns', starts a chain of its
+own.
+
+Each step draws whole dialogs, without replacement, until the batch holds
+exactly ``batch_size`` examples; the last dialog drawn gives its earliest
+examples.  The batch's examples of one chain run as one stream, the longest
+of them, with each example's response rows read out of it (``model.pack``):
+a GRU state depends only on the tokens before it, so a response row's
+logits are those of its example run alone.  Streams are packed longest
+first, so the recurrent stack computes no padding.  All of the batch's
+response rows go through one composite-loss call (float64), each row with
+its own example's opener, polarity and context turns.  The gradient at those
+rows is backpropagated through the model (model dtype, float32 by default)
+and applied with a hand-rolled Adam update.
 
 Ablations zero the objective weights: ``nll_only`` drops both guidance
 terms, ``peg_only_composite`` keeps nll + alpha*peg, ``ner_only_composite``
@@ -101,6 +112,7 @@ class EncodedExample:
     context_turns: int
     u1_mean: np.ndarray  # (3,)
     polarity: object
+    chain: int | None = None  # examples with one chain run as one stream; None runs alone
 
     @property
     def steps(self) -> int:
@@ -121,16 +133,76 @@ def encode_example(ex: TrainingExample, vocab: Vocab, window: int) -> EncodedExa
     )
 
 
-def _pack_batch(batch: Sequence[EncodedExample]):
-    """Sort ``batch`` by stream length, longest first, and pack it.
+def _encode(
+    examples: Sequence[TrainingExample], vocab: Vocab, window: int
+) -> tuple[list[EncodedExample], list[list[int]]]:
+    """Encode ``examples`` and link those whose streams nest into chains.
 
-    Returns the sorted batch, the packed ids and batch sizes (see
-    ``model.pack``), the packed rows whose logits predict the response
+    Returns the encoded examples and each dialog's example indices (grouped
+    by ``source_id``), in example order.  Within a dialog, shortest stream
+    first, an example joins the first chain whose longest stream so far it
+    extends, or starts a chain; every two examples of a chain then nest.
+    Nesting is checked on the streams, never assumed.
+    """
+    encoded = [encode_example(ex, vocab, window) for ex in examples]
+    raw = [e.ids.tobytes() for e in encoded]  # fixed-width ids: a byte prefix is an id prefix
+
+    def extends(i: int, j: int) -> bool:
+        """Stream j is a prefix of stream i that ends before i's response,
+        so that their readout rows in one stream stay apart."""
+        return encoded[i].resp_start >= len(encoded[j].ids) and raw[i].startswith(raw[j])
+
+    dialogs: dict[str, list[int]] = {}
+    for i, ex in enumerate(examples):
+        dialogs.setdefault(ex.source_id, []).append(i)
+    chain = list(range(len(encoded)))  # a chain is named by its shortest example
+    for members in dialogs.values():
+        tails: list[int] = []  # each of the dialog's chains' longest example so far
+        for i in sorted(members, key=lambda i: len(raw[i])):
+            k = next((k for k, j in enumerate(tails) if extends(i, j)), None)
+            if k is None:
+                tails.append(i)
+            else:
+                chain[i], tails[k] = chain[tails[k]], i
+    linked = [
+        EncodedExample(e.ids, e.resp_start, e.context_turns, e.u1_mean, e.polarity, c)
+        for e, c in zip(encoded, chain)
+    ]
+    return linked, list(dialogs.values())
+
+
+def _draw_batch(rng: np.random.Generator, dialogs: Sequence[Sequence[int]], batch_size: int) -> list[int]:
+    """Example indices of one batch: whole dialogs drawn without replacement
+    until the batch holds ``batch_size`` examples, the last dialog drawn
+    giving its earliest ones.  Drawing ``batch_size`` dialogs is enough,
+    as each holds an example, so a step costs O(batch_size) whatever the
+    number of dialogs; the caller checks that there are enough examples."""
+    batch: list[int] = []
+    for d in rng.choice(len(dialogs), size=min(batch_size, len(dialogs)), replace=False).tolist():
+        batch.extend(dialogs[d][: batch_size - len(batch)])
+        if len(batch) == batch_size:
+            break
+    return batch
+
+
+def _pack_batch(batch: Sequence[EncodedExample]):
+    """Pack ``batch``, the examples of each chain as one stream: the chain's
+    longest stream in the batch, of which its other examples' streams are
+    prefixes.  Streams are sorted longest first (stably); each example reads
+    its own response rows out of its chain's stream.
+
+    Returns the examples in readout order, the packed ids and batch sizes
+    (see ``model.pack``), the packed rows whose logits predict the response
     tokens, and those tokens, example by example.
     """
-    batch = sorted(batch, key=lambda e: -len(e.ids))
-    spans = [(e.resp_start - 1, len(e.ids) - 1) for e in batch]
-    ids, batch_sizes, readout = pack([e.ids for e in batch], spans)
+    chains: dict[object, list[EncodedExample]] = {}
+    for k, e in enumerate(batch):
+        chains.setdefault(k if e.chain is None else ("chain", e.chain), []).append(e)
+    groups = sorted(chains.values(), key=lambda g: -max(len(e.ids) for e in g))
+    streams = [max(g, key=lambda e: len(e.ids)).ids for g in groups]
+    batch = [e for g in groups for e in g]
+    spans = [(i, e.resp_start - 1, len(e.ids) - 1) for i, g in enumerate(groups) for e in g]
+    ids, batch_sizes, readout = pack(streams, spans)
     targets = np.concatenate([e.ids[e.resp_start :] for e in batch])
     return batch, ids, batch_sizes, readout, targets
 
@@ -181,6 +253,14 @@ def _batch_losses(
         matrix,
         config,
     )
+    # Past -log(tiny) nats per token, the targets' probabilities are below
+    # what the model's dtype can represent: the run has blown up, even where
+    # its logits stay finite.
+    limit = -math.log(np.finfo(model.dtype).tiny)
+    if bd.nll > limit * len(targets):
+        raise TrainingDivergedError(
+            f"mean NLL per response token {bd.nll / len(targets):.4g} exceeds {limit:.1f} nats"
+        )
     B = len(batch)
     mean = np.array([bd.nll, bd.peg, bd.ner, bd.total]) / B
     return mean, bd.grad_logits / B, cache
@@ -202,14 +282,12 @@ def train(
         )
     effective = effective_pege_config(pege_config, config.ablation)
     matrix = align_vocab(lexicon, model.vocab.tokens)
-    window = model.config.context_window
-    encoded = [encode_example(ex, model.vocab, window) for ex in examples]
+    encoded, dialogs = _encode(examples, model.vocab, model.config.context_window)
     rng = np.random.default_rng(config.seed)
     adam = Adam(model.params, lr=config.learning_rate)
     log: list[LossLogEntry] = []
     for step in range(1, config.max_steps + 1):
-        pick = rng.choice(len(encoded), size=config.batch_size, replace=False)
-        batch = [encoded[j] for j in pick]
+        batch = [encoded[j] for j in _draw_batch(rng, dialogs, config.batch_size)]
         try:
             (nll, peg, ner, total), dlogits, cache = _batch_losses(model, batch, matrix, effective)
         except TrainingDivergedError as exc:
@@ -226,13 +304,15 @@ def train(
 def evaluate_nll(
     model: Model, examples: Sequence[TrainingExample], chunk_size: int = 64
 ) -> float:
-    """Mean per-example NLL over response steps (no parameter updates)."""
+    """Mean per-example NLL over response steps (no parameter updates).
+
+    Each chunk of ``chunk_size`` examples runs as one packed batch, its
+    examples that nest sharing a stream as in training."""
     if model.vocab is None:
         raise ValueError("model needs an attached vocabulary")
     if len(examples) == 0:
         raise ValueError("no examples to evaluate")
-    window = model.config.context_window
-    encoded = [encode_example(ex, model.vocab, window) for ex in examples]
+    encoded, _ = _encode(examples, model.vocab, model.config.context_window)
     total = 0.0
     for lo in range(0, len(encoded), chunk_size):
         _, ids, batch_sizes, readout, targets = _pack_batch(encoded[lo : lo + chunk_size])

@@ -207,7 +207,7 @@ def test_train_ablation_changes_hash_and_total(workdir, capsys):
     entries = [json.loads(line) for line in log.read_text().splitlines()[1:]]
     for e in entries:
         assert e["total"] == pytest.approx(e["nll"], abs=1e-9)
-        assert e["peg"] > 0.0  # still computed and logged
+        assert e["peg"] != 0.0  # still computed and logged; PEG is signed (f(|C|) reaches -1)
 
 
 def test_selfchat_deterministic_and_counts(workdir):
@@ -351,6 +351,14 @@ INVALID_CONFIGS = {
     "num_dialogs_huge": '{"synth": {"num_dialogs": 100000000000000000000000}}',
     "max_words_huge": '{"synth": {"max_words": 100000000000000000000000}}',
     "turns_range_huge": '{"synth": {"turns_range": [3, 1000000000000000000000000000000]}}',
+    # int64 values that would run until killed: size-like fields have bounds
+    "turns_range_2_62": '{"synth": {"turns_range": [3, 4611686018427387904]}}',
+    "embed_dim_huge": '{"model": {"embed_dim": 1000000}}',
+    "hidden_dim_huge": '{"model": {"hidden_dim": 1000000}}',
+    "num_layers_2_62": '{"model": {"num_layers": 4611686018427387904}}',
+    "max_turn_2_62": '{"objective": {"max_turn": 4611686018427387904}}',
+    "turns_2_62": '{"selfchat": {"turns": 4611686018427387904}}',
+    "max_tokens_2_62": '{"selfchat": {"decode": {"max_tokens": 4611686018427387904}}}',
 }
 
 

@@ -124,7 +124,7 @@ def test_backward_matches_finite_differences():
     rng = np.random.default_rng(0)
     ids = rng.integers(0, TINY.vocab_size, size=(2, 5))
     R = rng.normal(size=(10, TINY.vocab_size))
-    assert _worst_fd_error(m, *pack(ids, [(0, 5)] * 2), R) < 1e-5
+    assert _worst_fd_error(m, *pack(ids, [(0, 0, 5), (1, 0, 5)]), R) < 1e-5
 
 
 def test_packed_backward_matches_finite_differences():
@@ -133,7 +133,7 @@ def test_packed_backward_matches_finite_differences():
     m = init_model(TINY, seed=8).astype(np.float64)
     rng = np.random.default_rng(1)
     streams = [rng.integers(0, TINY.vocab_size, size=n) for n in (6, 4, 4, 1)]
-    ids, batch_sizes, readout = pack(streams, [(2, 5), (0, 4), (3, 4), (0, 1)])
+    ids, batch_sizes, readout = pack(streams, [(0, 2, 5), (1, 0, 4), (2, 3, 4), (3, 0, 1)])
     assert batch_sizes.tolist() == [4, 3, 3, 3, 1, 1] and len(ids) == 15
     R = rng.normal(size=(len(readout), TINY.vocab_size))
     # the README's 1e-4 contract; at eps 1e-6 the worst coordinate, a 1e-5
@@ -146,22 +146,43 @@ def test_backward_from_initial_states_matches_finite_differences():
     m = init_model(TINY, seed=8).astype(np.float64)
     rng = np.random.default_rng(2)
     streams = [rng.integers(0, TINY.vocab_size, size=n) for n in (5, 3, 1)]
-    ids, batch_sizes, readout = pack(streams, [(0, 5), (1, 3), (0, 1)])
+    ids, batch_sizes, readout = pack(streams, [(0, 0, 5), (1, 1, 3), (2, 0, 1)])
     h0 = [rng.normal(size=(3, TINY.hidden_dim)) for _ in range(TINY.num_layers)]
     R = rng.normal(size=(len(readout), TINY.vocab_size))
     assert _worst_fd_error(m, ids, batch_sizes, readout, R, h0) <= 1e-4
 
 
+def test_backward_through_shared_prefixes_matches_finite_differences():
+    # as training packs a dialog's nested examples: several readout spans per
+    # stream, one stream a prefix of another, from nonzero initial states
+    m = init_model(TINY, seed=10).astype(np.float64)
+    rng = np.random.default_rng(6)
+    long = rng.integers(0, TINY.vocab_size, size=9)
+    streams = [long, rng.integers(0, TINY.vocab_size, size=6), long[:5]]
+    spans = [(0, 1, 3), (0, 4, 6), (0, 7, 9), (1, 0, 2), (1, 3, 6), (2, 2, 5)]
+    ids, batch_sizes, readout = pack(streams, spans)
+    h0 = [rng.normal(size=(3, TINY.hidden_dim)) for _ in range(TINY.num_layers)]
+    R = rng.normal(size=(len(readout), TINY.vocab_size))
+    assert TINY.num_layers == 2 and len(readout) == 14
+    assert _worst_fd_error(m, ids, batch_sizes, readout, R, h0) <= 1e-4
+
+
 def test_pack_layout():
     streams = [np.array([1, 2, 3]), np.array([4, 5]), np.array([6])]
-    ids, batch_sizes, readout = pack(streams, [(1, 3), (0, 2), (0, 0)])
+    ids, batch_sizes, readout = pack(streams, [(0, 1, 3), (1, 0, 2), (2, 0, 0)])
     assert ids.tolist() == [1, 4, 6, 2, 5, 3]  # step by step, stream order within a step
     assert batch_sizes.tolist() == [3, 2, 1]
     assert ids[readout].tolist() == [2, 3, 4, 5]
     with pytest.raises(ValueError):
-        pack(streams[::-1], [(0, 1)] * 3)  # not longest first
+        pack(streams[::-1], [(i, 0, 1) for i in range(3)])  # not longest first
     with pytest.raises(ValueError):
-        pack([np.array([1]), np.array([], dtype=np.int64)], [(0, 1), (0, 0)])
+        pack([np.array([1]), np.array([], dtype=np.int64)], [(0, 0, 1), (1, 0, 0)])
+    # several spans of one stream read out span by span; a span stays inside its stream
+    ids, _, readout = pack(streams, [(0, 2, 3), (1, 0, 1), (0, 0, 1)])
+    assert ids[readout].tolist() == [3, 4, 1]
+    for bad in [(1, 0, 3), (3, 0, 1), (0, 2, 1), (0, -1, 1)]:
+        with pytest.raises(ValueError, match="not a range of a stream"):
+            pack(streams, [bad])
 
 
 def _padded_reference_grads(m, streams, spans, R):
@@ -173,10 +194,11 @@ def _padded_reference_grads(m, streams, spans, R):
     p, B, L = m.params, len(streams), max(len(s) for s in streams)
     ids = np.zeros((B, L), dtype=np.int64)
     dlogits = np.zeros((B, L, m.config.vocab_size))
-    k = 0
-    for i, (stream, (lo, hi)) in enumerate(zip(streams, spans)):
+    for i, stream in enumerate(streams):
         ids[i, : len(stream)] = stream
-        dlogits[i, lo:hi] = R[k : k + hi - lo]
+    k = 0
+    for i, lo, hi in spans:
+        dlogits[i, lo:hi] += R[k : k + hi - lo]
         k += hi - lo
     x, caches = p["emb"][ids], []
 
@@ -226,7 +248,7 @@ def test_packed_gradients_match_padded_reference():
     rng = np.random.default_rng(4)
     lengths = sorted(rng.integers(1, TINY.context_window + 1, size=9).tolist(), reverse=True)
     streams = [rng.integers(1, TINY.vocab_size, size=n) for n in lengths]
-    spans = [(int(rng.integers(0, n)), n) for n in lengths]
+    spans = [(i, int(rng.integers(0, n)), n) for i, n in enumerate(lengths)]
     ids, batch_sizes, readout = pack(streams, spans)
     R = rng.normal(size=(len(readout), TINY.vocab_size))
     _, cache = _forward_cached(m, ids, batch_sizes, readout)

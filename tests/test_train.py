@@ -1,12 +1,13 @@
 """Trainer behavior: encoding, the optimizer, ablations, and descent."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from emoguide.corpus import SynthConfig, prepare_training_examples, synthesize_corpus
-from emoguide.model import ModelConfig, backward, init_model, model_checksum
+from emoguide.model import ModelConfig, _forward_cached, backward, init_model, model_checksum
 from emoguide.objective import PegeConfig
 from emoguide.polarity import ClassifierParams, PolarityClassifier, PolarityDistribution
 from emoguide.config import default_run_config
@@ -17,6 +18,9 @@ from emoguide.train import (
     TrainConfig,
     TrainingDivergedError,
     _batch_losses,
+    _draw_batch,
+    _encode,
+    _pack_batch,
     effective_pege_config,
     encode_example,
     evaluate_nll,
@@ -142,6 +146,88 @@ def test_encode_respects_window(examples, vocab):
     assert np.array_equal(enc_tight.ids[:2], enc_full.ids[:2])
     # the response tail is identical
     assert np.array_equal(enc_tight.ids[-enc_tight.steps :], enc_full.ids[-enc_full.steps :])
+
+
+def test_nested_examples_link_into_chains(examples, vocab):
+    encoded, dialogs = _encode(examples, vocab, window=128)
+    assert sorted(i for d in dialogs for i in d) == list(range(len(examples)))
+    for d in dialogs:
+        assert len({examples[i].source_id for i in d}) == 1
+        # at this window no stream is truncated: a dialog's turns nest, in order
+        assert len({encoded[i].chain for i in d}) == 1
+        for a, b in zip(d, d[1:]):
+            short, long = encoded[a].ids, encoded[b].ids
+            assert np.array_equal(long[: len(short)], short)
+    assert len({e.chain for e in encoded}) == len(dialogs)
+
+
+def test_truncated_example_is_not_merged(examples, vocab):
+    ex = max(examples, key=lambda e: sum(len(u.tokens) for u in e.context))
+    same = [e for e in examples if e.source_id == ex.source_id]
+    full = [encode_example(e, vocab, 256) for e in same]
+    # the window truncates the last example's stream and no other
+    window = len(full[-1].ids) - 1
+    assert all(len(e.ids) <= window for e in full[:-1])
+    encoded, _ = _encode(same, vocab, window)
+    assert len(encoded[-1].ids) < len(full[-1].ids)
+    assert {e.chain for e in encoded[:-1]} == {encoded[0].chain} != {encoded[-1].chain}
+    batch, ids, batch_sizes, _, _ = _pack_batch(encoded)
+    assert batch_sizes[0] == 2  # one stream for the nested turns, one for the truncated one
+    assert batch[0] is encoded[-1] and len(ids) == len(encoded[-1].ids) + len(encoded[-2].ids)
+
+
+def test_nested_examples_run_as_one_stream_exactly(examples, vocab, lexicon):
+    # float64: one stream per chain gives each example's logits and the
+    # batch's gradients as one stream per example does
+    model = small_model(vocab, seed=3).astype(np.float64)
+    matrix = align_vocab(lexicon, vocab.tokens)
+    linked, _ = _encode(examples[:20], vocab, 128)
+    apart = [replace(e, chain=None) for e in linked]
+
+    def run(batch):
+        order, ids, batch_sizes, readout, _ = _pack_batch(batch)
+        logits, _ = _forward_cached(model, ids, batch_sizes, readout)
+        rows = np.split(logits, np.cumsum([e.steps for e in order])[:-1])
+        mean, dlogits, cache = _batch_losses(model, batch, matrix, PegeConfig())
+        by_example = {(e.ids.tobytes(), e.resp_start): r for e, r in zip(order, rows)}
+        return batch_sizes[0], by_example, mean, backward(model, cache, dlogits)
+
+    n_shared, logits_shared, mean_shared, grads_shared = run(linked)
+    n_apart, logits_apart, mean_apart, grads_apart = run(apart)
+    assert n_apart == 20 and n_shared == len({e.chain for e in linked}) < 20
+    assert logits_shared.keys() == logits_apart.keys()
+    for key, rows in logits_apart.items():
+        assert np.allclose(logits_shared[key], rows, rtol=1e-10, atol=0)
+    assert np.allclose(mean_shared, mean_apart, rtol=1e-10, atol=0)
+    for name, g in grads_apart.items():
+        assert np.allclose(grads_shared[name], g, rtol=1e-10, atol=1e-14), name
+
+
+def test_batches_are_drawn_by_dialog():
+    sizes = [1, 4, 2, 7, 3, 1, 5, 2]
+    dialogs, start = [], 0
+    for n in sizes:
+        dialogs.append(list(range(start, start + n)))
+        start += n
+    dialog_of = {i: k for k, d in enumerate(dialogs) for i in d}
+
+    def batches(seed, batch_size, steps):
+        rng = np.random.default_rng(seed)
+        return [_draw_batch(rng, dialogs, batch_size) for _ in range(steps)]
+
+    for batch_size in (1, 3, 7, 8, start):
+        drawn = batches(5, batch_size, 60)
+        for batch in drawn:
+            assert len(batch) == len(set(batch)) == batch_size
+            # whole dialogs, and only the earliest examples of the last one drawn
+            taken = {dialog_of[i]: [j for j in batch if dialog_of[j] == dialog_of[i]] for i in batch}
+            assert all(t == dialogs[k][: len(t)] for k, t in taken.items())
+            assert sum(len(t) < len(dialogs[k]) for k, t in taken.items()) <= 1
+        # an example is drawn once the batch can hold the earlier turns of its dialog
+        reachable = {i for d in dialogs for i in d[:batch_size]}
+        assert {i for batch in drawn for i in batch} == reachable
+        assert drawn == batches(5, batch_size, 60)
+    assert batches(5, 8, 10) != batches(6, 8, 10)
 
 
 # -------------------------------------------------------------- training
