@@ -37,7 +37,6 @@ from .metrics import (
 )
 from .model import (
     DecodeConfig,
-    DecodeState,
     ModelConfig,
     generate,
     generate_batch,
@@ -67,7 +66,6 @@ __all__ = [
     "ClassifierParams",
     "ConfigError",
     "DecodeConfig",
-    "DecodeState",
     "Dialog",
     "FilterReport",
     "FilterRules",

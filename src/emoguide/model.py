@@ -20,15 +20,18 @@ only on the tokens before it, so training runs the examples of a dialog
 whose streams nest as one stream, with each example's response rows read
 out of it.
 
-Decoding runs the same packed forward pass, from each stream's carried
-hidden state: ``generate_batch`` feeds every context's new tokens as one
-packed batch, then takes one batched step per token over the replies still
-running; ``generate`` is its one-context call.  A decode step is one token
-per stream, already in packed order, so it runs its rows as given, and the
-state arrays hold only the running replies: a row leaves them when its
-reply emits <eou>.  Every GEMM of a decode call runs on at least two rows,
-so on a BLAS that gives a row the same bits at any row count M >= 2 (see
-``_feed``), a reply's bits do not depend on the batch that decoded it.
+Decoding runs the same packed forward pass: ``_decode`` feeds every stream
+from its given states as one packed batch, then takes one batched step per
+token over the replies still running, and returns each stream's states after
+its reply.  ``generate_batch`` checks its contexts and decodes them from
+zeros; ``generate`` is its one-context call.  Self-chat calls ``_decode``
+itself, to feed each model only the tokens added since its last reply.  A
+decode step is one token per stream, already in packed order, so it runs its
+rows as given, and the state arrays hold only the running replies: a row
+leaves them when its reply emits <eou>.  Every GEMM of a decode call runs on
+at least two rows, so on a BLAS that gives a row the same bits at any row
+count M >= 2 (see ``_feed``), a reply's bits do not depend on the batch that
+decoded it.
 
 Every pass runs from the model's joined weights (``_join_weights``): each
 layer's gate weights, and layer 0's input projections of every vocabulary
@@ -376,16 +379,6 @@ class DecodeConfig:
         check_int("max_tokens", self.max_tokens, 0, MAX_WORDS)
 
 
-@dataclass
-class DecodeState:
-    """The token ids one model has been fed and each layer's hidden state
-    after them.  ``generate_batch`` replaces both fields together, so they
-    always match; a state belongs to the one model it was passed with."""
-
-    ids: tuple[int, ...] = ()
-    hs: tuple[np.ndarray, ...] = ()
-
-
 def _feed(model: Model, weights: _Weights, streams: Sequence[Sequence[int]], h0: list):
     """Feed every stream from its initial states in one packed forward pass.
 
@@ -474,15 +467,12 @@ def generate_batch(
     eou_id: int | None = None,
     forbidden_ids: Sequence[int] = (),
     rngs: Sequence[np.random.Generator | None] | None = None,
-    states: Sequence[DecodeState] | None = None,
 ) -> list[list[int]]:
     """Decode a reply after every context, all of them in lockstep.
 
-    The contexts' new tokens are fed as one packed batch, and each decode
+    The contexts are fed from zeros as one packed batch, and each decode
     step is one batched step over the replies still running; a reply ends at
-    <eou> or after max_tokens.  Only the running replies' rows are kept: a
-    row leaves the state arrays when it emits <eou>, and its final states
-    are recorded then.  ``forbidden_ids`` are masked at every step,
+    <eou> or after max_tokens.  ``forbidden_ids`` are masked at every step,
     ``eou_id`` additionally at the first step so replies are never empty.
     Both must be ids in the vocabulary that leave at least one id to choose,
     or the call raises ValueError before it feeds anything.  Context i
@@ -491,71 +481,60 @@ def generate_batch(
 
     Every context must be a 1-D, nonempty sequence of integer ids in the
     vocabulary, at most a context window long; all of a call's contexts are
-    checked as one array.  With ``states[i]`` whose ids context i strictly
-    extends, only the new suffix is fed; any other context starts from
-    zeros, as one without a state does.  The state then holds the context
-    plus the emitted ids (<eou> is never fed).  A row's bits depend neither
-    on its state nor on the other contexts of the batch (see ``_feed``), so
-    a reply is the same whichever batch decodes it.  ``rngs`` and
-    ``states``, when given, have one entry per context.  Each call prepares
-    the model anew (``_prepare``); self-chat prepares once and calls
-    ``_decode``.
+    checked as one array.  A row's bits do not depend on the other contexts
+    of the batch (see ``_feed``), so a reply is the same whichever batch
+    decodes it.  Each call prepares the model anew (``_prepare``); self-chat
+    prepares once and calls ``_decode``, which also carries states.
     """
-    return _decode(_prepare(model, eou_id, forbidden_ids), contexts, decode, rngs, states)
-
-
-def _decode(
-    decoder: _Decoder,
-    contexts: Sequence[Sequence[int]],
-    decode: DecodeConfig,
-    rngs: Sequence[np.random.Generator | None] | None,
-    states: Sequence[DecodeState] | None,
-) -> list[list[int]]:
-    """``generate_batch`` with the model and bans already prepared."""
-    model, weights, eou_id = decoder.model, decoder.weights, decoder.eou_id
-    config = model.config
+    decoder = _prepare(model, eou_id, forbidden_ids)
     if not contexts:
         return []
+    config = model.config
     flat = _check_ids(contexts, config.vocab_size, config.context_window).tolist()
     ends = list(itertools.accumulate(map(len, contexts)))
     contexts = [flat[lo:hi] for lo, hi in zip([0, *ends], ends)]
     rngs = list(rngs) if rngs is not None else [None] * len(contexts)
-    states = list(states) if states is not None else [DecodeState() for _ in contexts]
-    for name, given in (("rngs", rngs), ("states", states)):
-        if len(given) != len(contexts):
-            raise ValueError(f"{len(given)} {name} for {len(contexts)} contexts")
+    if len(rngs) != len(contexts):
+        raise ValueError(f"{len(rngs)} rngs for {len(contexts)} contexts")
     if decode.mode == "top_k" and any(rng is None for rng in rngs):
         raise ValueError("top_k decoding needs an rng")
-    zeros = np.zeros(config.hidden_dim, dtype=model.dtype)
-    suffixes, h0 = [], []
-    for ctx, state in zip(contexts, states):
-        fed = len(state.ids)
-        carried = 0 < fed < len(ctx) and tuple(ctx[:fed]) == state.ids
-        suffixes.append(ctx[fed:] if carried else ctx)
-        h0.append(state.hs if carried else (zeros,) * config.num_layers)
-    h0 = [np.stack(hs) for hs in zip(*h0)]  # each layer's (B, H) states
+    zeros = [np.zeros((len(contexts), config.hidden_dim), model.dtype)] * config.num_layers
+    return _decode(decoder, contexts, zeros, decode, rngs)[0]
+
+
+def _decode(
+    decoder: _Decoder,
+    suffixes: Sequence[Sequence[int]],
+    h0: list[np.ndarray],
+    decode: DecodeConfig,
+    rngs: Sequence[np.random.Generator | None],
+) -> tuple[list[list[int]], list[np.ndarray]]:
+    """Feed every suffix from its states and decode a reply after it, as
+    ``generate_batch`` does, with nothing checked: the caller gives valid ids
+    and one rng per suffix.  ``h0`` holds each layer's (B, H) states, in
+    suffix order.  Returns the replies and each layer's (B, H) states after
+    each suffix and its reply (<eou> is never fed)."""
+    model, weights, eou_id = decoder.model, decoder.weights, decoder.eou_id
     logits, hs = _feed(model, weights, suffixes, h0)
-    outs: list[list[int]] = [[] for _ in contexts]
-    final: list[tuple] = [()] * len(contexts)  # each context's states once its reply ends
-    live = np.arange(len(contexts))  # the contexts still replying; rows of logits and hs
+    outs: list[list[int]] = [[] for _ in suffixes]
+    final = [np.empty_like(h) for h in hs]  # each row's states once its reply ends
+    live = np.arange(len(suffixes))  # the replies still running; rows of logits and hs
     for step in range(decode.max_tokens):
         banned = decoder.first_ban if step == 0 else decoder.ban
         choices = _choose(logits, decode, banned, [rngs[i] for i in live])
         if eou_id is not None and eou_id in choices:
             going = choices != eou_id
-            for row in np.flatnonzero(~going).tolist():
-                final[live[row]] = tuple(h[row] for h in hs)
+            for f, h in zip(final, hs):
+                f[live[~going]] = h[~going]
             live, choices, hs = live[going], choices[going], [h[going] for h in hs]
         if not live.size:
             break
         for i, token in zip(live.tolist(), choices.tolist()):
             outs[i].append(token)
         logits, hs = _feed(model, weights, choices[:, None], hs)
-    for row, i in enumerate(live.tolist()):
-        final[i] = tuple(h[row] for h in hs)
-    for ctx, out, state, hs_end in zip(contexts, outs, states, final):
-        state.ids, state.hs = (*ctx, *out), hs_end
-    return outs
+    for f, h in zip(final, hs):
+        f[live] = h
+    return outs, final
 
 
 def generate(
@@ -566,19 +545,12 @@ def generate(
     eou_id: int | None = None,
     forbidden_ids: Sequence[int] = (),
     rng: np.random.Generator | None = None,
-    state: DecodeState | None = None,
 ) -> list[int]:
     """Decode token ids after ``context_ids`` until <eou> or max_tokens: the
     one-context call of ``generate_batch``, whose contract (the
     ``forbidden_ids`` rule too) it shares."""
     (out,) = generate_batch(
-        model,
-        [context_ids],
-        decode,
-        eou_id=eou_id,
-        forbidden_ids=forbidden_ids,
-        rngs=[rng],
-        states=None if state is None else [state],
+        model, [context_ids], decode, eou_id=eou_id, forbidden_ids=forbidden_ids, rngs=[rng]
     )
     return out
 

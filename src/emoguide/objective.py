@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .checks import MAX_UTTERANCES, check_int, check_real, check_token_ids, check_tuple
+from .checks import MAX_UTTERANCES, check_int, check_real, check_token_ids
 from .polarity import PolarityDistribution
 from .vad import VadMatrix, VadVector, check_distribution
 
@@ -57,14 +57,11 @@ class PegeConfig:
     alpha: float = 5.0
     beta: float = 2.0
     max_turn: int = 7
-    peg_baseline: tuple[float, float, float] = (0.5, 0.5, 0.5)
 
     def __post_init__(self) -> None:
         check_real("alpha", self.alpha, 0.0)
         check_real("beta", self.beta, 0.0)
         check_int("max_turn", self.max_turn, maximum=MAX_UTTERANCES)  # |C| never exceeds a dialog
-        for i, b in enumerate(check_tuple("peg_baseline", self.peg_baseline, 3)):
-            check_real(f"peg_baseline[{i}]", b, 0.0, 1.0)
 
 
 @dataclass(frozen=True)

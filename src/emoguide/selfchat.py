@@ -4,13 +4,21 @@ Each seed utterance opens a dialog as the user's first turn.  The opener's
 polarity is classified once, quantized into the two-token emotion prefix,
 and kept in front of the agent's (and user's) context for every turn, the
 same conditioning the models saw in training.  Turns then alternate
-agent/user until 2*turns utterances exist, the seed included.  Each dialog
-keeps one decode state per model, so a reply feeds only the tokens added
-since that model last spoke.
+agent/user until 2*turns utterances exist, the seed included.
+
+Each dialog keeps, per model, how many of its context ids that model has
+fed and the model's hidden states after them.  While ``assemble_stream``
+drops no segment, a context extends the model's last one by its reply, so
+the reply feeds only the new ids from the kept states.  A model's first
+reply, and every reply once the window has dropped a segment (it then drops
+one on every later reply), feeds its whole context from zeros.  No prefix
+is compared and no id is re-checked: every id comes from the vocabulary or
+from a model that decodes over it, and ``_prepare_speakers`` checks once
+that both models' vocabularies have their ``vocab_size`` tokens.
 
 The dialogs of a call run in lockstep: at each position, one decode call
-(``generate_batch``'s ``_decode``) decodes every dialog's reply, one batched
-GRU step per token.  A row's bits do not depend on the batch, and each
+(``model._decode``) decodes every dialog's reply, one batched GRU step per
+token.  A row's bits do not depend on the batch, and each
 (dialog, position) pair samples with its own seeded generator, so a dialog
 is the same whichever dialogs share its batch.  ``threads`` splits the seeds
 into contiguous groups decoded on their own threads; smaller groups decode
@@ -33,7 +41,7 @@ import numpy as np
 
 from .checks import MAX_UTTERANCES, check_int
 from .corpus import Dialog, Utterance, read_jsonl
-from .model import DecodeConfig, DecodeState, Model, _decode, _Decoder, _prepare
+from .model import DecodeConfig, Model, _decode, _Decoder, _prepare
 from .model import generate  # noqa: F401  perfbench's tracer wraps this name here
 from .polarity import NEGATIVE, NEUTRAL, POSITIVE, PolarityClassifier
 from .vad import tokenize
@@ -89,8 +97,10 @@ def _run_dialog(
     seed: SeedUtterance,
 ):
     """One dialog, played reply by reply.  Before each reply it yields the
-    speaker, the speaker's context and the reply's rng (None when greedy), and
-    is sent the reply's ids; after the last reply it yields the Dialog."""
+    speaker, the speaker's context, how many leading ids of it the speaker's
+    model has already fed (0: none, feed it all from zeros) and the reply's
+    rng (None when greedy), and is sent the reply's ids; after the last
+    reply it yields the Dialog."""
     opener = tuple(tokenize(seed.text))
     prefix = encode_emotion_prefix(classifier(opener))
     eou_id = vocab.id(EOU)
@@ -98,6 +108,8 @@ def _run_dialog(
 
     utterances = [Utterance(USER, " ".join(opener))]
     segments = [[marker[USER], *vocab.encode(opener), eou_id]]
+    whole = len(prefix) + len(segments[0]) + 1  # the context's length if no segment is dropped
+    fed = {AGENT: 0, USER: 0}  # each model's fed ids: its last context and reply
     for position in range(1, 2 * config.turns):
         speaker = AGENT if position % 2 == 1 else USER
         context = assemble_stream(prefix, segments, vocab, windows[speaker], tail=[marker[speaker]])
@@ -106,10 +118,13 @@ def _run_dialog(
             rng = np.random.default_rng(
                 np.random.SeedSequence([config.rng_seed, index, position])
             )
-        ids = yield speaker, context, rng
+        start = fed[speaker] if len(context) == whole else 0  # 0 once the window drops a segment
+        ids = yield speaker, context, start, rng
+        fed[speaker] = len(context) + len(ids)
         words = [vocab.tokens[t] for t in ids]
         utterances.append(Utterance(speaker, " ".join(words)))
         segments.append([marker[speaker], *ids, eou_id])
+        whole += len(segments[-1])
     yield Dialog(
         source_id=f"selfchat-{index:04d}-{seed.polarity}",
         utterances=tuple(utterances),
@@ -124,27 +139,35 @@ def _chat(
 ) -> list[Dialog]:
     """Play the dialogs of ``items`` ((index, seed) pairs) in lockstep: each
     position's replies are one ``_decode`` call with the speaker's prepared
-    model.  Each dialog keeps one decode state per model, so a reply feeds
-    only the tokens added since that model last spoke."""
+    model, each dialog feeding the ids its model has not fed yet from that
+    model's states after its last reply, or its whole context from zeros."""
     vocab = decoders[AGENT].model.vocab
     windows = {speaker: d.model.config.context_window for speaker, d in decoders.items()}
-    states = {speaker: [DecodeState() for _ in items] for speaker in decoders}
+    zeros = lambda m: [np.zeros((len(items), m.config.hidden_dim), m.dtype)] * m.config.num_layers
+    states = {speaker: zeros(d.model) for speaker, d in decoders.items()}  # per layer, (dialogs, H)
     dialogs = [_run_dialog(vocab, windows, config, classifier, i, seed) for i, seed in items]
     turns = [next(dialog) for dialog in dialogs]
     for _ in range(1, 2 * config.turns):
         speaker = turns[0][0]  # every dialog is at the same position
-        contexts, rngs = [context for _, context, _ in turns], [rng for _, _, rng in turns]
-        replies = _decode(decoders[speaker], contexts, config.decode, rngs, states[speaker])
+        suffixes = [context[start:] for _, context, start, _ in turns]
+        fresh = np.array([start == 0 for _, _, start, _ in turns])[:, None]
+        h0 = [np.where(fresh, 0, h) for h in states[speaker]]
+        rngs = [rng for *_, rng in turns]
+        replies, states[speaker] = _decode(decoders[speaker], suffixes, h0, config.decode, rngs)
         turns = [dialog.send(ids) for dialog, ids in zip(dialogs, replies)]
     return turns
 
 
 def _prepare_speakers(agent_model: Model, user_model: Model) -> dict[str, _Decoder]:
-    """Check that both models carry the same vocabulary, and prepare each
-    speaker's model to decode with its structural ids banned."""
+    """Check that both models carry the same vocabulary, of their
+    ``vocab_size`` tokens, and prepare each speaker's model to decode with
+    its structural ids banned."""
     for name, model in (("agent", agent_model), ("user", user_model)):
         if model.vocab is None:
             raise ValueError(f"{name} model has no attached vocabulary")
+        if len(model.vocab) != model.config.vocab_size:
+            size = f"{len(model.vocab)} tokens, not vocab_size {model.config.vocab_size}"
+            raise ValueError(f"{name} model's vocabulary has {size}")
     if agent_model.vocab.tokens != user_model.vocab.tokens:
         raise ValueError("agent and user models use different vocabularies")
     vocab = agent_model.vocab

@@ -8,17 +8,19 @@ compares the streams themselves, so a stream that ``assemble_stream``
 truncated, which does not continue the earlier turns', starts a chain of its
 own.
 
-Each step draws whole dialogs, without replacement, until the batch holds
-exactly ``batch_size`` examples; the last dialog drawn gives its earliest
-examples.  The batch's examples of one chain run as one stream, the longest
-of them, with each example's response rows read out of it (``model.pack``):
-a GRU state depends only on the tokens before it, so a response row's
-logits are those of its example run alone.  Streams are packed longest
-first, so the recurrent stack computes no padding.  All of the batch's
-response rows go through one composite-loss call (float64), each row with
-its own example's opener, polarity and context turns.  The gradient at those
-rows is backpropagated through the model (model dtype, float32 by default)
-and applied with a hand-rolled Adam update.
+Each dialog's examples are split, once per ``train`` call, into consecutive
+runs of at most ``batch_size``, so a batch can hold every run whole.  Each
+step draws whole runs, without replacement, until the batch holds exactly
+``batch_size`` examples; the last run drawn gives its earliest examples, so
+every example can be drawn.  The batch's examples of one chain run as one
+stream, the longest of them, with each example's response rows read out of
+it (``model.pack``): a GRU state depends only on the tokens before it, so a
+response row's logits are those of its example run alone.  Streams are
+packed longest first, so the recurrent stack computes no padding.  All of
+the batch's response rows go through one composite-loss call (float64), each
+row with its own example's opener, polarity and context turns.  The gradient
+at those rows is backpropagated through the model (model dtype, float32 by
+default) and applied with a hand-rolled Adam update.
 
 Ablations zero the objective weights: ``nll_only`` drops both guidance
 terms, ``peg_only_composite`` keeps nll + alpha*peg, ``ner_only_composite``
@@ -30,7 +32,7 @@ produce comparable logs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -71,9 +73,7 @@ def effective_pege_config(config: PegeConfig, ablation: str) -> PegeConfig:
         raise ValueError(f"unknown ablation {ablation!r}")
     alpha = config.alpha if ablation in ("full", "peg_only_composite") else 0.0
     beta = config.beta if ablation in ("full", "ner_only_composite") else 0.0
-    return PegeConfig(
-        alpha=alpha, beta=beta, max_turn=config.max_turn, peg_baseline=config.peg_baseline
-    )
+    return replace(config, alpha=alpha, beta=beta)
 
 
 class Adam:
@@ -283,11 +283,13 @@ def train(
     effective = effective_pege_config(pege_config, config.ablation)
     matrix = align_vocab(lexicon, model.vocab.tokens)
     encoded, dialogs = _encode(examples, model.vocab, model.config.context_window)
+    size = config.batch_size  # runs of at most a batch, so every example can be drawn
+    runs = [members[lo : lo + size] for members in dialogs for lo in range(0, len(members), size)]
     rng = np.random.default_rng(config.seed)
     adam = Adam(model.params, lr=config.learning_rate)
     log: list[LossLogEntry] = []
     for step in range(1, config.max_steps + 1):
-        batch = [encoded[j] for j in _draw_batch(rng, dialogs, config.batch_size)]
+        batch = [encoded[j] for j in _draw_batch(rng, runs, size)]
         try:
             (nll, peg, ner, total), dlogits, cache = _batch_losses(model, batch, matrix, effective)
         except TrainingDivergedError as exc:

@@ -183,9 +183,6 @@ class VadMatrix:
     def coverage(self) -> Coverage:
         return Coverage(self.listed, self.vocab_size - self.listed)
 
-    def row(self, index: int) -> VadVector:
-        return VadVector.from_array(self.values[index])
-
 
 def align_vocab(lexicon: VadLexicon, vocab: Sequence[str]) -> VadMatrix:
     """Stack lexicon rows in vocabulary order, defaulting unlisted tokens."""

@@ -61,15 +61,9 @@ class Vocab:
     def id(self, token: str) -> int:
         return self._ids.get(token, self._unk)
 
-    def token(self, index: int) -> str:
-        return self.tokens[index]
-
     def encode(self, words: Iterable[str]) -> list[int]:
         get, unk = self._ids.get, self._unk
         return [get(w, unk) for w in words]
-
-    def decode_words(self, ids: Iterable[int]) -> list[str]:
-        return [self.tokens[i] for i in ids]
 
     @property
     def structural_ids(self) -> frozenset[int]:

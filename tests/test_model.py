@@ -10,7 +10,6 @@ import emoguide.model as model_mod
 from emoguide.model import (
     CKPT_MAGIC,
     DecodeConfig,
-    DecodeState,
     Model,
     ModelConfig,
     backward,
@@ -435,17 +434,17 @@ def test_generate_contracts():
     assert len(out2) >= 1
 
 
-def _count_steps(monkeypatch) -> list[int]:
-    """Record every token ``_feed`` is given from here on."""
-    fed = []
+def _count_streams(monkeypatch) -> list[list[list[int]]]:
+    """Record the streams of every ``_feed`` call from here on."""
+    calls = []
 
     def counting(model, weights, streams, h0):
-        fed.extend(token for stream in streams for token in stream)
+        calls.append([list(stream) for stream in streams])
         return feed(model, weights, streams, h0)
 
     feed = model_mod._feed
     monkeypatch.setattr(model_mod, "_feed", counting)
-    return fed
+    return calls
 
 
 def _encode(m, ids) -> list[np.ndarray]:
@@ -456,74 +455,47 @@ def _encode(m, ids) -> list[np.ndarray]:
     return [h[0] for h in hs]
 
 
-def _assert_state_is_scratch_encoding(m, state):
-    assert len(state.hs) == m.config.num_layers
-    for got, want in zip(state.hs, _encode(m, state.ids)):
-        assert np.array_equal(got, want)
-
-
 @pytest.mark.parametrize("mode", ["greedy", "top_k"])
 def test_carried_state_feeds_only_the_new_suffix(monkeypatch, mode):
-    m = init_model(TINY, seed=5)
+    # _decode fed from the states it returned: each context's new ids only.
+    # Seed 20 ends some replies at <eou> while others run on, in both modes.
+    m = init_model(TINY, seed=20)
     decode = DecodeConfig(mode=mode, k=3, max_tokens=4)
-    state = DecodeState()
-    ctx = [1, 2, 4]
+    decoder = model_mod._prepare(m, eou_id=3)
+    contexts, held, lengths = [[1, 2, 4], [5], [6, 2, 2, 1]], [0, 0, 0], set()
+    hs = [np.zeros((len(contexts), TINY.hidden_dim), dtype=m.dtype) for _ in range(TINY.num_layers)]
     for turn in range(4):
-        stateless = generate(m, ctx, decode, eou_id=3, rng=np.random.default_rng(turn))
-        held = len(state.ids)
-        fed = _count_steps(monkeypatch)
-        out = generate(m, ctx, decode, eou_id=3, rng=np.random.default_rng(turn), state=state)
+        rngs = lambda: [np.random.default_rng([turn, i]) for i in range(len(contexts))]
+        stateless = generate_batch(m, contexts, decode, eou_id=3, rngs=rngs())
+        suffixes = [ctx[n:] for ctx, n in zip(contexts, held)]
+        calls = _count_streams(monkeypatch)
+        outs, hs = model_mod._decode(decoder, suffixes, hs, decode, rngs())
         monkeypatch.undo()
-        assert out == stateless
-        assert fed == ctx[held:] + out  # every emitted id is fed, <eou> never
-        assert state.ids == (*ctx, *out)
-        _assert_state_is_scratch_encoding(m, state)
-        ctx = [*ctx, *out, 3, 6, 5]  # <eou>, then the next utterance's tokens
-
-
-@pytest.mark.parametrize("edit", ["drop_middle", "change_prefix", "equal"])
-def test_state_resets_unless_the_context_extends_it(monkeypatch, edit):
-    m = init_model(TINY, seed=5)
-    decode = DecodeConfig(max_tokens=3)
-    state = DecodeState()
-    generate(m, [1, 2, 4, 5, 6, 2], decode, eou_id=3, state=state)
-    held = list(state.ids)
-    ctx = {
-        "drop_middle": held[:2] + held[4:] + [6],
-        "change_prefix": [(held[0] + 1) % TINY.vocab_size] + held[1:] + [6],
-        "equal": held,
-    }[edit]
-    stateless = generate(m, ctx, decode, eou_id=3)
-    fed = _count_steps(monkeypatch)
-    out = generate(m, ctx, decode, eou_id=3, state=state)
-    assert out == stateless
-    assert fed == ctx + out
-    assert state.ids == (*ctx, *out)
-    _assert_state_is_scratch_encoding(m, state)
+        assert outs == stateless
+        # the suffixes once, then every emitted id once (<eou> never)
+        assert calls[0] == suffixes
+        assert sum(len(stream) for call in calls[1:] for stream in call) == sum(map(len, outs))
+        for i, (ctx, out) in enumerate(zip(contexts, outs)):
+            assert all(np.array_equal(h[i], want) for h, want in zip(hs, _encode(m, ctx + out)))
+        held = [len(ctx) + len(out) for ctx, out in zip(contexts, outs)]
+        contexts = [[*ctx, *out, 3, 6, 5] for ctx, out in zip(contexts, outs)]  # <eou>, a new turn
+        lengths.add(tuple(map(len, outs)))
+    assert any(len(set(n)) > 1 for n in lengths)  # the replies of a call ended at different steps
 
 
 @pytest.mark.parametrize("mode", ["greedy", "top_k"])
 def test_generate_batch_matches_one_context_calls(mode):
     m = init_model(TINY, seed=5)
     decode = DecodeConfig(mode=mode, k=3, max_tokens=5)
-    carried = [DecodeState() for _ in range(4)]
     rngs = lambda: [np.random.default_rng(i) for i in range(4)]
-    generate_batch(m, [[1, 2], [5], [2], [6, 2, 2]], decode, eou_id=3, rngs=rngs(), states=carried)
-    # two contexts extend their states, one is shorter than its state, one is new
-    contexts = [[*carried[0].ids, 3, 4], [5], [*carried[2].ids, 3, 6, 1], [1, 4, 5, 6, 1]]
-    batch_states = [DecodeState(s.ids, s.hs) for s in carried]
+    contexts = [[1, 2, 4, 3, 4], [5], [2, 6, 1], [1, 4, 5, 6, 1]]
     kwargs = dict(eou_id=3, forbidden_ids=[0])
-    batched = generate_batch(m, contexts, decode, rngs=rngs(), states=batch_states, **kwargs)
-    for ctx, rng, out, state, start in zip(contexts, rngs(), batched, batch_states, carried):
-        alone = DecodeState(start.ids, start.hs)
-        assert generate(m, ctx, decode, rng=rng, state=alone, **kwargs) == out
+    batched = generate_batch(m, contexts, decode, rngs=rngs(), **kwargs)
+    for ctx, rng, out in zip(contexts, rngs(), batched):
+        assert generate(m, ctx, decode, rng=rng, **kwargs) == out
         assert 1 <= len(out) <= 5 and 0 not in out and 3 not in out
-        assert alone.ids == state.ids == (*ctx, *out)
-        assert all(np.array_equal(a, b) for a, b in zip(alone.hs, state.hs))
     with pytest.raises(ValueError, match="rng"):
         generate_batch(m, contexts, DecodeConfig(mode="top_k"), rngs=rngs()[:3] + [None])
-    with pytest.raises(ValueError, match="3 states for 4 contexts"):
-        generate_batch(m, contexts, decode, rngs=rngs(), states=batch_states[:3])
     with pytest.raises(ValueError, match="5 rngs for 4 contexts"):
         generate_batch(m, contexts, decode, rngs=rngs() + rngs()[:1])
     assert generate_batch(m, [], decode) == []
@@ -540,8 +512,8 @@ def test_generate_rejects_a_context_that_is_not_1d(context):
         generate_batch(m, [[1, 2], context, [4]])
 
 
-# each builds a bad context from the ids it extends: a state's ids when the
-# context is carried, none when it is fresh
+# each builds a bad context from the ids it extends: an earlier context and
+# its reply when carried on, as a self-chat context is, none when fresh
 BAD_CONTEXTS = {
     "negative": lambda ids: [*ids, -1],
     "too_large": lambda ids: [*ids, TINY.vocab_size],
@@ -555,16 +527,17 @@ BAD_CASES = [(bad, carried) for bad in list(BAD_CONTEXTS)[:4] for carried in ("c
 
 @pytest.mark.parametrize("bad, carried", BAD_CASES + [("empty", "fresh"), ("bool", "fresh")])
 @pytest.mark.parametrize("where", [0, 2])
-def test_a_bad_id_in_any_context_of_a_batch_raises(bad, carried, where):
+def test_a_bad_id_in_any_context_of_a_batch_raises(monkeypatch, bad, carried, where):
     m = init_model(TINY, seed=5)
-    states = [DecodeState() for _ in range(3)]
-    generate_batch(m, [[1, 2], [5], [2, 4]], DecodeConfig(max_tokens=3), eou_id=3, states=states)
-    kept = [(s.ids, s.hs) for s in states]
-    contexts = [[*s.ids, 3, 4] for s in states]
-    contexts[where] = BAD_CONTEXTS[bad](states[where].ids if carried == "carried" else ())
+    firsts = [[1, 2], [5], [2, 4]]
+    outs = generate_batch(m, firsts, DecodeConfig(max_tokens=3), eou_id=3)
+    earlier = [ctx + out for ctx, out in zip(firsts, outs)]
+    contexts = [[*ids, 3, 4] for ids in earlier]
+    contexts[where] = BAD_CONTEXTS[bad](earlier[where] if carried == "carried" else ())
+    calls = _count_streams(monkeypatch)
     with pytest.raises(ValueError):
-        generate_batch(m, contexts, DecodeConfig(max_tokens=3), eou_id=3, states=states)
-    assert [(s.ids, s.hs) for s in states] == kept  # nothing was decoded
+        generate_batch(m, contexts, DecodeConfig(max_tokens=3), eou_id=3)
+    assert calls == []  # nothing was decoded
 
 
 # bans that generate_batch must reject before it decodes anything
@@ -583,21 +556,19 @@ BAD_BANS = {
 
 @pytest.mark.parametrize("mode", ["greedy", "top_k"])
 @pytest.mark.parametrize("ban", sorted(BAD_BANS))
-def test_bans_outside_the_vocabulary_or_of_every_id_raise(mode, ban):
+def test_bans_outside_the_vocabulary_or_of_every_id_raise(monkeypatch, mode, ban):
     m = init_model(TINY, seed=5)
     decode = DecodeConfig(mode=mode, max_tokens=3)
     rngs = lambda: [np.random.default_rng(i) for i in range(2)]
-    states = [DecodeState() for _ in range(2)]
-    generate_batch(m, [[1, 2], [5]], decode, eou_id=3, rngs=rngs(), states=states)
-    kept = [(s.ids, s.hs) for s in states]
-    contexts = [[*s.ids, 3, 4] for s in states]
+    calls = _count_streams(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a NaN warning from top_k is not a clean failure
         with pytest.raises(ValueError, match="forbidden_ids|eou_id"):
-            generate_batch(m, contexts, decode, rngs=rngs(), states=states, **BAD_BANS[ban])
+            generate_batch(m, [[1, 2, 3, 4], [5, 3, 4]], decode, rngs=rngs(), **BAD_BANS[ban])
         with pytest.raises(ValueError, match="forbidden_ids|eou_id"):
             generate(m, [1, 2], decode, rng=np.random.default_rng(0), **BAD_BANS[ban])
-    assert [(s.ids, s.hs) for s in states] == kept  # nothing was decoded
+    assert calls == []  # nothing was decoded
+    monkeypatch.undo()
     # a ban that leaves one id (4) at the first step is valid; <eou> (3) ends the reply later
     only_4 = [i for i in EVERY_ID if i not in (3, 4)]
     out = generate(m, [1, 2], decode, eou_id=3, forbidden_ids=only_4, rng=np.random.default_rng(0))
@@ -644,16 +615,12 @@ def test_every_step_runs_two_rows_when_one_reply_is_left(monkeypatch):
     feed_, forward_cached_ = model_mod._feed, model_mod._forward_cached
     monkeypatch.setattr(model_mod, "_feed", feed)
     monkeypatch.setattr(model_mod, "_forward_cached", forward_cached)
-    states = [DecodeState() for _ in contexts]
-    outs = generate_batch(m, contexts, decode, eou_id=3, rngs=rngs(), states=states)
+    outs = generate_batch(m, contexts, decode, eou_id=3, rngs=rngs())
     monkeypatch.undo()
     assert outs == alone
     # the replies ended at different steps, down to one left running
     assert streams_fed[1] == len(contexts) and 1 in streams_fed
     assert min(rows_run) >= 2
-    for ctx, out, state in zip(contexts, outs, states):
-        assert state.ids == (*ctx, *out)
-        _assert_state_is_scratch_encoding(m, state)
 
 
 def test_top_k_temperature_limit_is_greedy():

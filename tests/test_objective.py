@@ -347,7 +347,7 @@ def test_finite_diff_check_validation():
 
 
 def test_config_validation():
-    for bad in ({"alpha": True}, {"beta": False}, {"peg_baseline": (True, 0.5, 0.5)}):
+    for bad in ({"alpha": True}, {"beta": False}):
         with pytest.raises(ValueError):
             PegeConfig(**bad)  # booleans are not real numbers
     with pytest.raises(ValueError):
@@ -356,5 +356,3 @@ def test_config_validation():
         PegeConfig(beta=float("nan"))
     with pytest.raises(ValueError):
         PegeConfig(max_turn=0)
-    with pytest.raises(ValueError):
-        PegeConfig(peg_baseline=(0.5, 0.5, 1.5))

@@ -2,12 +2,13 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import emoguide.model as model_mod
 from emoguide import selfchat
 from emoguide.corpus import bank_words
-from emoguide.model import DecodeConfig, ModelConfig, init_model
+from emoguide.model import DecodeConfig, ModelConfig, _feed, _join_weights, generate_batch, init_model
 from emoguide.polarity import ClassifierParams, PolarityClassifier
 from emoguide.config import default_run_config
 from emoguide.resources import data_path, SEEDS_FILE
@@ -17,7 +18,7 @@ from emoguide.selfchat import (
     load_seed_utterances,
     self_chat,
 )
-from emoguide.vocab import AGENT, USER, build_vocab
+from emoguide.vocab import AGENT, EOU, USER, assemble_stream, build_vocab
 
 
 @pytest.fixture(scope="module")
@@ -150,36 +151,92 @@ def test_threads_do_not_change_results(models, classifier):
         assert self_chat(agent, user, config, classifier, threads=threads) == single
 
 
-def _stateless(calls):
-    """``selfchat._decode`` as called before decode states: every context from
-    zeros.  Each call is counted in ``calls``, so a test can assert the patch
-    was hit."""
-
-    def decode(decoder, contexts, config, rngs, states):
-        calls.append(len(contexts))
-        return model_mod._decode(decoder, contexts, config, rngs, None)
-
-    return decode
+def _from_scratch(agent, user, config, classifier):
+    """Self-chat as ``_run_dialog`` plays it, every reply decoded from zeros
+    over its whole context by the public ``generate_batch``."""
+    models, vocab = {AGENT: agent, USER: user}, agent.vocab
+    windows = {speaker: m.config.context_window for speaker, m in models.items()}
+    bans = dict(eou_id=vocab.id(EOU), forbidden_ids=sorted(vocab.structural_ids))
+    items = enumerate(config.seeds)
+    dialogs = [selfchat._run_dialog(vocab, windows, config, classifier, i, seed) for i, seed in items]
+    turns = [next(dialog) for dialog in dialogs]
+    for _ in range(1, 2 * config.turns):
+        speaker, contexts = turns[0][0], [context for _, context, _, _ in turns]
+        rngs = [rng for *_, rng in turns]
+        replies = generate_batch(models[speaker], contexts, config.decode, rngs=rngs, **bans)
+        turns = [dialog.send(ids) for dialog, ids in zip(dialogs, replies)]
+    return turns
 
 
 def _with_window(models, window):
     return [replace(m, config=replace(m.config, context_window=window)) for m in models]
 
 
+def _encode(model, ids):
+    """Each layer's hidden state after feeding ``ids`` from zeros."""
+    zeros = [np.zeros((1, model.config.hidden_dim), model.dtype)] * model.config.num_layers
+    if not ids:
+        return [h[0] for h in zeros]
+    return [h[0] for h in _feed(model, _join_weights(model), [ids], zeros)[1]]
+
+
+def _truncated(dialog, window):
+    """Whether the dialog's last context outgrew the window, so that
+    ``assemble_stream`` dropped segments: prefix, segments and a marker."""
+    return 2 + sum(len(u.tokens) + 2 for u in dialog.utterances[:-1]) + 1 > window
+
+
 @pytest.mark.parametrize("window", [128, 40])
 @pytest.mark.parametrize(
     "decode", [DecodeConfig(), DecodeConfig(mode="top_k", k=4)], ids=["greedy", "top_k"]
 )
-def test_carried_decode_state_keeps_transcripts(models, classifier, monkeypatch, window, decode):
+def test_carried_decode_state_keeps_transcripts(models, classifier, window, decode):
     agent, user = _with_window(models, window)
     config = SelfChatConfig(seeds=SEEDS, turns=6, decode=decode, rng_seed=5)
     carried = self_chat(agent, user, config, classifier)
-    calls = []
-    monkeypatch.setattr(selfchat, "_decode", _stateless(calls))
-    assert carried == self_chat(agent, user, config, classifier)
-    assert calls == [len(SEEDS)] * (2 * config.turns - 1)  # every reply went through the patch
-    if window == 40:  # the stream outgrew the window, so assemble_stream dropped segments
-        assert all(sum(len(u.tokens) + 2 for u in d.utterances) + 2 > 40 for d in carried)
+    assert carried == _from_scratch(agent, user, config, classifier)
+    assert any(_truncated(d, window) for d in carried)  # some replies were fed from zeros
+
+
+@pytest.mark.parametrize("window", [128, 40, 24])
+def test_replies_feed_new_ids_from_carried_states_until_a_segment_is_dropped(
+    models, classifier, monkeypatch, window
+):
+    agent, user = _with_window(models, window)
+    contexts, calls = [], []
+
+    def assemble(prefix, segments, vocab, window, tail=()):
+        context = assemble_stream(prefix, segments, vocab, window, tail)
+        whole = len(prefix) + sum(map(len, segments)) + len(tail)
+        contexts.append((context, len(context) < whole))
+        return context
+
+    def decode(decoder, suffixes, h0, config, rngs):
+        replies, hs = decode_(decoder, suffixes, h0, config, rngs)
+        calls.append((decoder.model, contexts[:], suffixes, h0, replies))
+        contexts.clear()
+        return replies, hs
+
+    decode_ = selfchat._decode
+    monkeypatch.setattr(selfchat, "assemble_stream", assemble)
+    monkeypatch.setattr(selfchat, "_decode", decode)
+    config = SelfChatConfig(seeds=SEEDS, turns=6)
+    self_chat(agent, user, config, classifier)
+    monkeypatch.undo()
+    seen = {"carried": 0, "reset": 0}
+    held = {id(agent): [0] * len(SEEDS), id(user): [0] * len(SEEDS)}  # ids each model has fed
+    for model, assembled, suffixes, h0, replies in calls:
+        fed = held[id(model)]
+        for i, ((context, truncated), suffix, reply) in enumerate(zip(assembled, suffixes, replies)):
+            start = 0 if truncated else fed[i]
+            assert suffix == context[start:]
+            assert all(np.array_equal(h[i], want) for h, want in zip(h0, _encode(model, context[:start])))
+            if truncated:
+                seen["reset"] += 1
+            elif start:
+                seen["carried"] += 1
+            fed[i] = len(context) + len(reply)
+    assert seen["reset"] > 0 and (seen["carried"] > 0) == (window > 24)
 
 
 @pytest.mark.parametrize("window", [128, 40])
@@ -201,7 +258,7 @@ def test_dialogs_do_not_depend_on_the_batch(models, classifier, window, decode):
         ]
         assert dialogs == everyone, size
     if window == 40:  # some streams were truncated, so they restarted from zeros
-        assert any(sum(len(u.tokens) + 2 for u in d.utterances) + 2 > 40 for d in everyone)
+        assert any(_truncated(d, window) for d in everyone)
 
 
 def test_each_model_feeds_each_stream_token_once(models, classifier, monkeypatch):
@@ -271,3 +328,13 @@ def test_vocab_mismatch_raises(models, classifier, vocab):
         self_chat(bare, agent, config, classifier)
     with pytest.raises(ValueError):
         self_chat(agent, agent, config, classifier, threads=0)
+
+
+@pytest.mark.parametrize("words", [bank_words()[:-1], [*bank_words(), "zzyzx"]], ids=["fewer", "more"])
+def test_a_vocabulary_of_another_size_than_the_config_raises(models, classifier, words):
+    # both models share the vocabulary, so only its size against the config is wrong
+    other = build_vocab(words)
+    agent, user = (replace(m, vocab=other) for m in models)
+    config = SelfChatConfig(seeds=SEEDS, turns=2)
+    with pytest.raises(ValueError, match="vocab_size"):
+        self_chat(agent, user, config, classifier)

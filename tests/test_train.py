@@ -1,5 +1,6 @@
 """Trainer behavior: encoding, the optimizer, ablations, and descent."""
 
+import importlib
 import math
 from dataclasses import replace
 
@@ -28,6 +29,8 @@ from emoguide.train import (
 )
 from emoguide.vad import align_vocab
 from emoguide.vocab import EOU, build_vocab
+
+train_mod = importlib.import_module("emoguide.train")  # the package's ``train`` is the function
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +231,30 @@ def test_batches_are_drawn_by_dialog():
         assert {i for batch in drawn for i in batch} == reachable
         assert drawn == batches(5, batch_size, 60)
     assert batches(5, 8, 10) != batches(6, 8, 10)
+
+
+@pytest.mark.parametrize("batch_size", [1, 3])
+def test_every_example_is_trained_on(examples, vocab, lexicon, monkeypatch, batch_size):
+    # the first dialogs of up to 5 examples each: with a batch below a dialog's
+    # example count, its later examples must still be drawn
+    chosen = {}
+    for i, ex in enumerate(examples):
+        if len(chosen) < 4 or ex.source_id in chosen:
+            chosen.setdefault(ex.source_id, []).append(i)
+    subset = [examples[i] for members in chosen.values() for i in members[:5]]
+    assert max(len(m) for m in chosen.values()) >= 5 > batch_size
+    drawn = set()
+
+    def draw_batch(rng, runs, size):
+        batch = draw_batch_(rng, runs, size)
+        drawn.update(batch)
+        return batch
+
+    draw_batch_ = train_mod._draw_batch
+    monkeypatch.setattr(train_mod, "_draw_batch", draw_batch)
+    cfg = TrainConfig(batch_size=batch_size, max_steps=120, seed=2)
+    train(small_model(vocab), subset, cfg, PegeConfig(), lexicon)
+    assert drawn == set(range(len(subset)))
 
 
 # -------------------------------------------------------------- training
