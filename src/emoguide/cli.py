@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .config import ConfigError, RunConfig, load_run_config
 from .corpus import (
     corpus_words,
     filter_dialogs,
+    load_blocklist,
     load_corpus,
     prepare_training_examples,
     prepare_user_side_examples,
@@ -42,7 +44,7 @@ from .corpus import (
 from .metrics import evaluate_run
 from .model import init_model, load_checkpoint, model_checksum, save_checkpoint
 from .selfchat import load_seed_utterances, self_chat
-from .train import TrainingDivergedError, train
+from .train import ABLATIONS, TrainingDivergedError, train
 from .vad import load_lexicon_file
 from .vocab import build_vocab
 
@@ -68,22 +70,12 @@ def _write_json(path, payload: dict) -> None:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _load_config(args) -> RunConfig:
-    config = load_run_config(args.config)
-    seed = getattr(args, "seed", None)
-    ablation = getattr(args, "ablation", None)
-    if seed is not None or ablation is not None:
-        config = config.with_overrides(seed=seed, ablation=ablation)
-    return config
-
-
 # ------------------------------------------------------------- commands
 
 
 def cmd_lexicon_stats(args) -> int:
     lexicon = load_lexicon_file(args.lexicon)
-    with open(args.vocab, encoding="utf-8") as fh:
-        tokens = [t.strip() for t in fh if t.strip() and not t.startswith("#")]
+    tokens = load_blocklist(args.vocab)
     if not tokens:
         raise ValueError(f"{args.vocab}: no tokens")
     cov = lexicon.coverage(tokens)
@@ -103,17 +95,13 @@ def cmd_lexicon_stats(args) -> int:
     return 0
 
 
-def cmd_synth(args) -> int:
-    config = _load_config(args)
-    _echo("synth", config)
+def cmd_synth(args, config: RunConfig) -> int:
     dialogs = synthesize_corpus(config.synth_config(), seed=config.seed)
     save_corpus(args.output, dialogs, meta=_meta("synth", config, dialogs=len(dialogs)))
     return 0
 
 
-def cmd_filter(args) -> int:
-    config = _load_config(args)
-    _echo("filter", config)
+def cmd_filter(args, config: RunConfig) -> int:
     dialogs = load_corpus(args.corpus)
     retained, report = filter_dialogs(dialogs, config.classifier(), config.filter_rules())
     save_corpus(args.output, retained, meta=_meta("filter", config, **report.to_dict()))
@@ -122,9 +110,7 @@ def cmd_filter(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    config = _load_config(args)
-    _echo("train", config)
+def cmd_train(args, config: RunConfig) -> int:
     corpus_path = args.corpus or config.path("corpus")
     if corpus_path is None:
         raise ValueError("no corpus: pass --corpus or set paths.corpus in the config")
@@ -141,14 +127,14 @@ def cmd_train(args) -> int:
     )
     save_checkpoint(args.output, model, config_hash=config.config_hash())
     if args.log:
-        write_jsonl(args.log, (entry.to_dict() for entry in log), meta=_meta("train", config))
+        write_jsonl(args.log, map(asdict, log), meta=_meta("train", config))
     print(
         json.dumps(
             {
                 "examples": len(examples),
                 "vocab_size": len(vocab),
                 "steps": len(log),
-                "final": log[-1].to_dict(),
+                "final": asdict(log[-1]),
                 "model_checksum": model_checksum(model),
             },
             sort_keys=True,
@@ -157,9 +143,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_gradcheck(args) -> int:
-    config = _load_config(args)
-    _echo("gradcheck", config)
+def cmd_gradcheck(args, config: RunConfig) -> int:
     if np.finfo(objective.REFERENCE_DTYPE).eps >= np.finfo(np.float64).eps:
         print("note: np.longdouble is float64 on this platform, so the finite-difference "
               "reference has no extra precision")
@@ -170,9 +154,7 @@ def cmd_gradcheck(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_selfchat(args) -> int:
-    config = _load_config(args)
-    _echo("selfchat", config)
+def cmd_selfchat(args, config: RunConfig) -> int:
     agent = load_checkpoint(args.agent_checkpoint)
     user = load_checkpoint(args.user_checkpoint)
     seeds = load_seed_utterances(config.path("seeds"))
@@ -192,12 +174,10 @@ def cmd_selfchat(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    config = _load_config(args)
-    _echo("eval", config)
+def cmd_eval(args, config: RunConfig) -> int:
     dialogs = load_corpus(args.dialogs)
     report = evaluate_run(dialogs, config.lexicon())
-    payload = {"config_hash": config.config_hash(), "seed": config.seed, **report.to_dict()}
+    payload = {"config_hash": config.config_hash(), "seed": config.seed, **asdict(report)}
     _write_json(args.output, payload)
     print(
         json.dumps(
@@ -252,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(tr)
     tr.add_argument(
         "--ablation",
-        choices=["nll_only", "ner_only_composite", "peg_only_composite", "full"],
+        choices=ABLATIONS,
         default=None,
         help="override the config's objective ablation",
     )
@@ -264,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     grad = sub.add_parser("gradcheck", help="finite-difference check of the loss gradient")
     grad.add_argument("config")
-    grad.add_argument("--seed", type=int, default=None)
+    common(grad, output=False)
     grad.add_argument("--cases", type=int, default=10)
     grad.set_defaults(handler=cmd_gradcheck)
 
@@ -289,10 +269,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        if "config" not in args:
+            return args.handler(args)
+        config = load_run_config(args.config)
+        ablation = getattr(args, "ablation", None)
+        if args.seed is not None or ablation is not None:
+            config = config.with_overrides(seed=args.seed, ablation=ablation)
+        _echo(args.command, config)
+        return args.handler(args, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,10 @@
 """Declarative run configuration.
 
 A run config is a single JSON document with fixed sections.  Loading merges
-it over the defaults below, rejecting unknown keys at any depth, validates
-every section, and applies environment-variable overrides (paths only:
-``EMOGUIDE_LEXICON``, ``EMOGUIDE_CORPUS``, ...).  The resolved document has
+it over the defaults, rejecting unknown keys at any depth, validates every
+section, and applies environment-variable overrides (paths only:
+``EMOGUIDE_LEXICON``, ``EMOGUIDE_CORPUS``, ...).  A section's defaults are
+those of the dataclass it builds.  The resolved document has
 every default spelled out; its canonical serialization is hashed so output
 files can be traced back to the exact settings that produced them.
 
@@ -17,7 +18,7 @@ import copy
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .checks import check_int
@@ -32,6 +33,7 @@ from .resources import (
     SEEDS_FILE,
     TOPIC_FILE,
     data_path,
+    parse_json,
 )
 from .selfchat import SeedUtterance, SelfChatConfig
 from .train import TrainConfig
@@ -52,32 +54,29 @@ _PACKAGED = {
     "seeds": SEEDS_FILE,
 }
 
+def _defaults(cls, *skip: str) -> dict:
+    """A section's defaults, read from its dataclass; tuples become JSON lists."""
+    return {
+        f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+        for f in fields(cls)
+        if f.name not in skip
+    }
+
+
+# A section leaves out the fields set from input files (vocab size, blocklists,
+# seed utterances) or from the top-level seed; decode is a section of its own.
 _DEFAULTS = {
     "seed": 0,
-    "paths": {
-        "lexicon": None,
-        "topic_blocklist": None,
-        "entity_patterns": None,
-        "offensive_blocklist": None,
-        "seeds": None,
-        "corpus": None,
-    },
-    "model": {"embed_dim": 64, "hidden_dim": 128, "num_layers": 1, "context_window": 128},
-    "train": {"learning_rate": 1e-3, "batch_size": 32, "max_steps": 500, "ablation": "full"},
-    "objective": {"alpha": 5.0, "beta": 2.0, "max_turn": 7},
-    "classifier": {"temperature": 0.1, "neutral_bias": 1.0},
-    "filters": {"first_utt_threshold": 0.5, "last_utt_pos_threshold": 0.9},
-    "synth": {
-        "num_dialogs": 100,
-        "turns_range": [5, 11],
-        "polarity_mix": [0.33, 0.34, 0.33],
-        "trajectory_mix": [0.5, 0.2, 0.3],
-        "min_words": 3,
-        "max_words": 7,
-    },
+    "paths": dict.fromkeys([*_PACKAGED, "corpus"]),
+    "model": _defaults(ModelConfig, "vocab_size"),
+    "train": _defaults(TrainConfig, "seed"),
+    "objective": _defaults(PegeConfig),
+    "classifier": _defaults(ClassifierParams),
+    "filters": _defaults(FilterRules, "topic_blocklist", "entity_patterns", "offensive_blocklist"),
+    "synth": _defaults(SynthConfig),
     "selfchat": {
-        "turns": 10,
-        "decode": {"mode": "greedy", "k": 5, "temperature": 1.0, "max_tokens": 12},
+        **_defaults(SelfChatConfig, "seeds", "decode", "rng_seed"),
+        "decode": _defaults(DecodeConfig),
     },
 }
 
@@ -229,8 +228,8 @@ def load_run_config(path) -> RunConfig:
     """Parse a JSON run config; syntax errors and unknown keys are ConfigError."""
     with open(path, encoding="utf-8") as fh:
         try:
-            raw = json.loads(fh.read())
-        except (RecursionError, ValueError) as exc:  # not JSON, nested too deep, or not UTF-8
+            raw = parse_json(fh.read())
+        except ValueError as exc:  # not JSON, nested too deep, or not UTF-8
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     try:
         return RunConfig.from_dict(raw)

@@ -42,7 +42,7 @@ import numpy as np
 
 from .checks import INT64_MAX, MAX_UTTERANCES, MAX_WORDS, check_int, check_real, check_tuple
 from .polarity import NEGATIVE, NEUTRAL, POSITIVE, PolarityClassifier, PolarityDistribution
-from .resources import read_lines
+from .resources import parse_json, read_lines
 from .vad import VadVector, tokenize, utterance_mean_vad
 from .vocab import AGENT, USER, encode_emotion_prefix
 
@@ -295,7 +295,10 @@ class FilterRules:
         object.__setattr__(self, "offensive_blocklist", frozenset(self.offensive_blocklist))
         object.__setattr__(self, "entity_patterns", tuple(self.entity_patterns))
         for pat in self.entity_patterns:
-            re.compile(pat)
+            try:
+                re.compile(pat)
+            except re.error as exc:
+                raise ValueError(f"entity pattern {pat!r}: {exc}") from None
 
 
 RULE_NAMES = (
@@ -510,8 +513,8 @@ def read_jsonl(path, parse: Callable[[dict], T]) -> tuple[dict | None, list[T]]:
         if not line:
             continue
         try:
-            record = json.loads(line)
-        except (RecursionError, json.JSONDecodeError):  # nesting too deep, or not JSON
+            record = parse_json(line)
+        except ValueError:
             raise ValueError(f"{path}: line {line_no}: invalid JSON") from None
         try:
             if not isinstance(record, dict):

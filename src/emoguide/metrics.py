@@ -142,9 +142,6 @@ class DialogScores:
     e: float
     pege: float
 
-    def to_dict(self) -> dict:
-        return {"source_id": self.source_id, "peg": self.peg, "e": self.e, "pege": self.pege}
-
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -161,23 +158,6 @@ class MetricsReport:
     bleu1: float | None
     bleu2: float | None
     breakdown: tuple[DialogScores, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "n_dialogs": self.n_dialogs,
-            "skipped": self.skipped,
-            "peg_score": self.peg_score,
-            "e_score": self.e_score,
-            "pege_score": self.pege_score,
-            "peg_std": self.peg_std,
-            "e_std": self.e_std,
-            "pege_std": self.pege_std,
-            "distinct1": self.distinct1,
-            "distinct2": self.distinct2,
-            "bleu1": self.bleu1,
-            "bleu2": self.bleu2,
-            "breakdown": [b.to_dict() for b in self.breakdown],
-        }
 
 
 def _std(values: Sequence[float]) -> float:

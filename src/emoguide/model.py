@@ -6,9 +6,8 @@ forward/backward passes; parameters are float32 by default (pass
 ``dtype=np.float64`` at init for gradient-checking).  Identical seeds give
 bit-identical parameters.  Training and decoding share one layer loop and
 one GRU cell: z and r take one recurrent GEMM and one in-place tanh-form
-sigmoid (which moved loss logs and trained weights in the low bits against
-the exp form), and the gates are joined only while the model runs, so
-parameters and checkpoints stay per gate.
+sigmoid, and the gates are joined only while the model runs, so parameters
+and checkpoints stay per gate.
 
 A batch of streams runs packed (``pack``): sorted longest first and laid out
 time-major, the rows of step t are the streams still running at t, so the
@@ -62,6 +61,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .checks import MAX_LAYERS, MAX_WIDTH, MAX_WORDS, check_int, check_real, check_token_ids
+from .resources import parse_json
 from .vocab import Vocab
 
 CKPT_MAGIC = b"EMOGCKPT"
@@ -600,8 +600,8 @@ def _read_header(fh, path) -> dict:
     if length is None or length > os.fstat(fh.fileno()).st_size - fh.tell():
         raise ValueError(f"{path}: truncated checkpoint header")
     try:
-        header = json.loads(fh.read(length))
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        header = parse_json(fh.read(length))
+    except ValueError as exc:  # not JSON, nested too deep, or not UTF-8
         raise ValueError(f"{path}: corrupt checkpoint header: {exc}") from None
     version = header.get("version") if isinstance(header, dict) else None
     if version != CKPT_VERSION:

@@ -46,7 +46,7 @@ class PolarityDistribution:
 @dataclass(frozen=True)
 class ClassifierParams:
     temperature: float = 0.1
-    neutral_bias: float = 0.0
+    neutral_bias: float = 1.0
 
     def __post_init__(self) -> None:
         check_real("temperature", self.temperature, 0.0, low_open=True)

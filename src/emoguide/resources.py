@@ -1,5 +1,6 @@
 """Names and paths of the packaged data files (lexicon, blocklists, seed set),
-and the UTF-8 line reader that every text input file goes through.
+the UTF-8 line reader that every text input file goes through, and the JSON
+parser that every JSON input goes through.
 
 ``RunConfig`` reads them: ``default_run_config().lexicon()`` and
 ``.filter_rules()`` give the packaged defaults.
@@ -8,9 +9,10 @@ and the UTF-8 line reader that every text input file goes through.
 from __future__ import annotations
 
 import io
+import json
 from importlib import resources
 from pathlib import Path
-from typing import Iterator
+from typing import Any, Iterator
 
 LEXICON_FILE = "vad_lexicon.tsv"
 TOPIC_FILE = "topic_blocklist.txt"
@@ -43,3 +45,12 @@ def read_lines(path) -> Iterator[str]:
             line_no = before.count("\n") + 1
             raise ValueError(f"{path}: line {line_no}: not UTF-8 (byte {exc.start})") from None
         raise  # the file changed after the first read
+
+
+def parse_json(text: str | bytes) -> Any:
+    """``json.loads``, where a document nested too deep for the parser raises
+    ValueError, as every other malformed document does."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(str(exc)) from None

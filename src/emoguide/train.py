@@ -215,15 +215,6 @@ class LossLogEntry:
     ner: float
     total: float
 
-    def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "nll": self.nll,
-            "peg": self.peg,
-            "ner": self.ner,
-            "total": self.total,
-        }
-
 
 def _batch_losses(
     model: Model,

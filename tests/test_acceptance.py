@@ -381,7 +381,7 @@ def test_criterion_6_training_sanity(experiment_data, nll_agent, agent_trainer):
     drop = (nll_agent.init_nll - nll_agent.final_nll) / nll_agent.init_nll
 
     rerun = agent_trainer(experiment_data, "nll_only", seed=11)
-    logs_equal = [e.to_dict() for e in rerun.log] == [e.to_dict() for e in nll_agent.log]
+    logs_equal = rerun.log == nll_agent.log
 
     elapsed = nll_agent.seconds + rerun.seconds
     _verdict(

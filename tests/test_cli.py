@@ -16,6 +16,7 @@ from emoguide import objective
 from emoguide.cli import main
 from emoguide.corpus import load_corpus, read_corpus_meta
 from emoguide.model import CKPT_MAGIC, checkpoint_config_hash, load_checkpoint
+from emoguide.resources import LEXICON_FILE, data_path
 
 
 @pytest.fixture(autouse=True)
@@ -276,9 +277,7 @@ def test_gradcheck_says_when_its_reference_has_no_extra_precision(workdir, capsy
 def test_lexicon_stats(workdir, capsys):
     vocab_file = workdir / "tokens.txt"
     vocab_file.write_text("happy\ncalm\nzzz_not_listed\n")
-    from emoguide.resources import data_path
-
-    assert main(["lexicon", "stats", str(data_path("vad_lexicon.tsv")), str(vocab_file)]) == 0
+    assert main(["lexicon", "stats", str(data_path(LEXICON_FILE)), str(vocab_file)]) == 0
     stats = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert stats["vocab_tokens"] == 3
     assert stats["listed"] == 2
@@ -304,13 +303,21 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     assert main(["synth", str(unknown), "-o", str(tmp_path / "y.jsonl")]) == 2
 
 
-def test_invalid_config_value_exits_2(workdir, tmp_path):
+def test_invalid_config_value_exits_2(workdir, tmp_path, capsys):
     bad = tmp_path / "neg_lr.json"
     bad.write_text(json.dumps({**TINY, "train": {**TINY["train"], "learning_rate": -1.0}}))
     corpus = workdir / "kept.jsonl"
     # the whole config is validated at load, so synth rejects a bad train section too
     assert main(["synth", str(bad), "-o", str(tmp_path / "c.jsonl")]) == 2
     assert main(["train", str(bad), "--corpus", str(corpus), "-o", str(tmp_path / "m.ckpt")]) == 2
+    # an entity pattern that is not a regex is an invalid filter rule
+    patterns = tmp_path / "entities.txt"
+    patterns.write_text("(unclosed\n")
+    bad.write_text(json.dumps({**TINY, "paths": {"entity_patterns": str(patterns)}}))
+    capsys.readouterr()
+    assert main(["filter", str(corpus), str(bad), "-o", str(tmp_path / "f.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("config error: entity pattern '(unclosed'"), err
 
 
 INVALID_CONFIGS = {
@@ -476,6 +483,7 @@ NOT_UTF8_LINES = {  # reader -> (a valid first line, a second line holding a Lat
         '{"text": "good day", "polarity": "positive"}',
         '{"text": "caf\xe9 day", "polarity": "neutral"}',
     ),
+    "token_list": ("happy", "caf\xe9"),
 }
 
 
@@ -495,6 +503,7 @@ def test_input_that_is_not_utf8_names_the_file_and_line(workdir, tmp_path, capsy
         "corpus": ["filter", str(bad), str(config), "-o", out],
         "lexicon": ["lexicon", "stats", str(bad), str(tokens)],
         "seeds": ["selfchat", agent, user, str(config), "-o", out],
+        "token_list": ["lexicon", "stats", str(data_path(LEXICON_FILE)), str(bad)],
     }[reader]
     assert main(argv) == 1
     err = capsys.readouterr().err

@@ -75,6 +75,9 @@ def test_hash_is_canonical_and_sensitive():
     assert a.config_hash() == b.config_hash()
     c = RunConfig.from_dict({"seed": 2, "model": {"hidden_dim": 32}})
     assert a.config_hash() != c.config_hash()
+    # every output file embeds this hash, so the defaults must resolve to it
+    expected = "616afc8091ec15b9c565beccacab9dcbfeee5106475e63a79c57f33f65c753e4"
+    assert default_run_config().config_hash() == expected
 
 
 def test_with_overrides():

@@ -29,6 +29,7 @@ from emoguide.model import (
     pack,
     save_checkpoint,
 )
+from emoguide.objective import finite_diff_check
 from emoguide.vocab import build_vocab
 
 TINY = ModelConfig(vocab_size=7, embed_dim=4, hidden_dim=5, num_layers=2, context_window=32)
@@ -93,27 +94,20 @@ def test_causality():
 
 def _worst_fd_error(m, ids, batch_sizes, readout, R, h0=None) -> float:
     """Worst relative error of backward() against central differences of the
-    scalar loss <R, logits>, so that dL/dlogits = R."""
-    _, cache = _forward_cached(m, ids, batch_sizes, readout, h0)
-    grads = backward(m, cache, R)
-    eps = 1e-6
+    scalar loss <R, logits>, so that dL/dlogits = R, one parameter at a time.
+    Each perturbed point is stored into the model's float64 parameter, so the
+    differences are those of the float64 forward pass."""
+    grads = backward(m, _forward_cached(m, ids, batch_sizes, readout, h0)[1], R)
     worst = 0.0
     for name, param in m.params.items():
-        it = np.nditer(param, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            orig = param[idx]
-            param[idx] = orig + eps
-            f_plus = float((R * _forward_cached(m, ids, batch_sizes, readout, h0)[0]).sum())
-            param[idx] = orig - eps
-            f_minus = float((R * _forward_cached(m, ids, batch_sizes, readout, h0)[0]).sum())
-            param[idx] = orig
-            numeric = (f_plus - f_minus) / (2 * eps)
-            analytic = float(grads[name][idx])
-            rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
-            worst = max(worst, rel)
-            assert rel <= 1e-4, f"{name}{idx}: analytic {analytic} vs numeric {numeric}"
-            it.iternext()
+        saved = param.copy()
+
+        def loss_at(x):
+            param[...] = x
+            return float((R * _forward_cached(m, ids, batch_sizes, readout, h0)[0]).sum())
+
+        worst = max(worst, finite_diff_check(loss_at, saved, grads[name], eps=1e-6))
+        param[...] = saved
     return worst
 
 
@@ -700,6 +694,7 @@ def test_checkpoint_rejects_garbage(tmp_path):
         CKPT_MAGIC + b"\xff\xff\xff\xff{}",  # length runs past the end of the file
         CKPT_MAGIC + b"\x02\x00\x00\x00[]",  # header is not a JSON object
         CKPT_MAGIC + b"\x02\x00\x00\x00\xff\xfe",  # header is not UTF-8
+        CKPT_MAGIC + b"\x40\x0d\x03\x00" + b"[" * 200_000,  # header nested too deep
     ],
 )
 def test_checkpoint_header_readers_fail_in_one_line(tmp_path, data):

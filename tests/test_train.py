@@ -266,7 +266,7 @@ def test_train_is_deterministic(examples, vocab, lexicon):
     def run():
         model = small_model(vocab)
         model, log = train(model, examples, cfg, PegeConfig(), lexicon)
-        return model_checksum(model), [e.to_dict() for e in log]
+        return model_checksum(model), log
 
     sum_a, log_a = run()
     sum_b, log_b = run()
@@ -296,7 +296,7 @@ def test_ablation_equals_zero_weights(examples, vocab, lexicon):
     model_b, log_b = train(model_b, examples, cfg_b, PegeConfig(alpha=0.0, beta=0.0), lexicon)
 
     assert model_checksum(model_a) == model_checksum(model_b)
-    assert [e.to_dict() for e in log_a] == [e.to_dict() for e in log_b]
+    assert log_a == log_b
 
 
 def test_all_components_logged_under_nll_only(examples, vocab, lexicon):
