@@ -43,6 +43,7 @@ from .corpus import (
 )
 from .metrics import evaluate_run
 from .model import init_model, load_checkpoint, model_checksum, save_checkpoint
+from .resources import open_output
 from .selfchat import load_seed_utterances, self_chat
 from .train import ABLATIONS, TrainingDivergedError, train
 from .vad import load_lexicon_file
@@ -66,7 +67,7 @@ def _meta(command: str, config: RunConfig, **extra) -> dict:
 
 
 def _write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
@@ -196,6 +197,17 @@ def cmd_eval(args, config: RunConfig) -> int:
 # --------------------------------------------------------------- parser
 
 
+def _positive_int(text: str) -> int:
+    """A count argument: anything but a positive integer is a usage error (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # reported below, as a count below 1 is
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="emoguide",
@@ -245,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     grad = sub.add_parser("gradcheck", help="finite-difference check of the loss gradient")
     grad.add_argument("config")
     common(grad, output=False)
-    grad.add_argument("--cases", type=int, default=10)
+    grad.add_argument("--cases", type=_positive_int, default=10)
     grad.set_defaults(handler=cmd_gradcheck)
 
     chat = sub.add_parser("selfchat", help="simulate dialogs between two checkpoints")
@@ -254,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     chat.add_argument("config")
     common(chat)
     chat.add_argument(
-        "--threads", type=int, default=1,
+        "--threads", type=_positive_int, default=1,
         help="dialog groups decoded in parallel (1 = one lockstep batch, the fastest)",
     )
     chat.set_defaults(handler=cmd_selfchat)

@@ -42,7 +42,7 @@ import numpy as np
 
 from .checks import INT64_MAX, MAX_UTTERANCES, MAX_WORDS, check_int, check_real, check_tuple
 from .polarity import NEGATIVE, NEUTRAL, POSITIVE, PolarityClassifier, PolarityDistribution
-from .resources import parse_json, read_lines
+from .resources import open_output, parse_json, read_lines
 from .vad import VadVector, tokenize, utterance_mean_vad
 from .vocab import AGENT, USER, encode_emotion_prefix
 
@@ -109,10 +109,6 @@ TRAJECTORIES = ("uplift", "abrupt", "stuck")
 
 def bank_words() -> list[str]:
     return [row[0] for rows in WORD_BANK.values() for row in rows]
-
-
-def bank_records() -> list[tuple[str, float, float, float]]:
-    return [row for rows in WORD_BANK.values() for row in rows]
 
 
 # ----------------------------------------------------------------- types
@@ -451,48 +447,12 @@ def corpus_words(dialogs: Sequence[Dialog]) -> list[str]:
     return [w for d in dialogs for u in d.utterances for w in u.tokens]
 
 
-# ----------------------------------------------------------------- stats
-
-
-@dataclass(frozen=True)
-class CorpusStats:
-    sessions: dict[str, int]
-    utterances: dict[str, int]
-
-    @property
-    def total_sessions(self) -> int:
-        return sum(self.sessions.values())
-
-    @property
-    def total_utterances(self) -> int:
-        return sum(self.utterances.values())
-
-    def to_dict(self) -> dict:
-        return {
-            "sessions": dict(self.sessions),
-            "utterances": dict(self.utterances),
-            "total_sessions": self.total_sessions,
-            "total_utterances": self.total_utterances,
-        }
-
-
-def corpus_stats(dialogs: Sequence[Dialog], classifier: PolarityClassifier) -> CorpusStats:
-    """Bucket sessions (and their utterances) by the opener's polarity label."""
-    sessions = {NEGATIVE: 0, NEUTRAL: 0, POSITIVE: 0}
-    utterances = {NEGATIVE: 0, NEUTRAL: 0, POSITIVE: 0}
-    for d in dialogs:
-        label = classifier.label(d.utterances[0].tokens)
-        sessions[label] += 1
-        utterances[label] += len(d.utterances)
-    return CorpusStats(sessions=sessions, utterances=utterances)
-
-
 # -------------------------------------------------------------- file i/o
 
 
 def write_jsonl(path, records: Iterable[dict], meta: dict | None = None) -> None:
     """Write one JSON object per line, after a ``{"meta": meta}`` header if given."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         if meta is not None:
             fh.write(json.dumps({"meta": meta}, sort_keys=True) + "\n")
         for record in records:
@@ -554,10 +514,6 @@ def save_corpus(path, dialogs: Sequence[Dialog], meta: dict | None = None) -> No
 
 def load_corpus(path) -> list[Dialog]:
     return read_jsonl(path, dialog_from_record)[1]
-
-
-def read_corpus_meta(path) -> dict | None:
-    return read_jsonl(path, lambda record: record)[0]
 
 
 def load_blocklist(path) -> list[str]:

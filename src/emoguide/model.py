@@ -61,7 +61,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .checks import MAX_LAYERS, MAX_WIDTH, MAX_WORDS, check_int, check_real, check_token_ids
-from .resources import parse_json
+from .resources import open_output, parse_json
 from .vocab import Vocab
 
 CKPT_MAGIC = b"EMOGCKPT"
@@ -82,9 +82,6 @@ class ModelConfig:
         check_int("hidden_dim", self.hidden_dim, maximum=MAX_WIDTH)
         check_int("num_layers", self.num_layers, maximum=MAX_LAYERS)
         check_int("context_window", self.context_window)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -271,19 +268,6 @@ def _forward_cached(
     logits = x[readout] @ p["out_w"] + p["out_b"]
     cache = {"ids": ids, "steps": steps, "readout": readout, "layers": caches, "top": x}
     return logits, cache
-
-
-def forward(model: Model, ids) -> np.ndarray:
-    """Causal logits for every position; shape mirrors the input batch shape."""
-    arr = np.asarray(ids)
-    if arr.ndim not in (1, 2):
-        raise ValueError(f"expected token ids of shape (L,) or (B, L), got {arr.shape}")
-    batch = arr[None] if arr.ndim == 1 else arr
-    B, L = batch.shape
-    flat = _check_ids(batch, model.config.vocab_size, model.config.context_window)
-    logits, _ = _forward_cached(model, *pack(flat.reshape(B, L), [(i, 0, L) for i in range(B)]))
-    logits = logits.reshape(B, L, -1)
-    return logits[0] if arr.ndim == 1 else logits
 
 
 def _layer_backward(layer: int, cache: dict, x: np.ndarray, dh_out: np.ndarray, steps):
@@ -561,7 +545,7 @@ def generate(
 def model_checksum(model: Model) -> str:
     """sha256 over the config and raw parameter bytes (manifest order)."""
     h = hashlib.sha256()
-    h.update(json.dumps(model.config.to_dict(), sort_keys=True).encode())
+    h.update(json.dumps(asdict(model.config), sort_keys=True).encode())
     for name in _param_shapes(model.config):
         h.update(name.encode())
         h.update(np.ascontiguousarray(model.params[name], dtype="<f4").tobytes())
@@ -575,14 +559,14 @@ def _manifest(config: ModelConfig) -> list[dict]:
 def save_checkpoint(path, model: Model, config_hash: str | None = None) -> None:
     header = {
         "version": CKPT_VERSION,
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "step_count": model.step_count,
         "vocab": list(model.vocab.tokens) if model.vocab is not None else None,
         "config_hash": config_hash,
         "params": _manifest(model.config),
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+    with open_output(path, binary=True) as fh:
         fh.write(CKPT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
@@ -636,8 +620,3 @@ def load_checkpoint(path) -> Model:
     vocab = Vocab(tokens=tuple(tokens)) if tokens else None
     return Model(config=config, params=params, step_count=step_count, vocab=vocab)
 
-
-def checkpoint_config_hash(path) -> str | None:
-    """Read just the config hash recorded in a checkpoint header."""
-    with open(path, "rb") as fh:
-        return _read_header(fh, path).get("config_hash")

@@ -36,13 +36,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .checks import MAX_UTTERANCES, check_int, check_real, check_token_ids
 from .polarity import PolarityDistribution
-from .vad import VadMatrix, VadVector, check_distribution
+from .vad import VadMatrix, VadVector
 
 NORM_GUARD = 1e-12
 # finite_diff_check's working dtype: 80-bit extended precision on x86-64
@@ -89,44 +89,16 @@ def dialog_progress(context_turns: int, max_turn: int = 7) -> float:
     return math.cos(math.pi * ratio)
 
 
-def _as_vad_array(u1_mean, steps: int | None = None) -> np.ndarray:
-    """A VAD point (3,); with ``steps``, one point per step (steps, 3) also passes."""
+def _as_vad_array(u1_mean, steps: int) -> np.ndarray:
+    """A VAD point (3,), or one point per step (steps, 3)."""
     if isinstance(u1_mean, VadVector):
         return u1_mean.to_array()
     arr = np.asarray(u1_mean, dtype=np.float64)
-    if arr.shape != (3,) and (steps is None or arr.shape != (steps, 3)):
+    if arr.shape not in ((3,), (steps, 3)):
         raise ValueError(f"expected a 3-dim VAD point, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0:
         raise ValueError("VAD point must lie in the unit cube")
     return arr
-
-
-def emotional_distance(u1_mean, probs: np.ndarray, matrix: VadMatrix) -> float:
-    """Euclidean distance between the opener's mean VAD and E[vad] under probs."""
-    u1 = _as_vad_array(u1_mean)
-    p = check_distribution(probs, matrix.vocab_size)
-    return float(np.linalg.norm(u1 - p @ matrix.values))
-
-
-def peg_loss(p_pos: float, eds: Sequence[float], progress: float) -> float:
-    """sum_t [ p_pos * ED_t + (1 - p_pos) * progress * ED_t ]."""
-    check_real("p_pos", p_pos, 0.0, 1.0)
-    check_real("progress", progress, -1.0, 1.0)
-    total = 0.0
-    for t, ed in enumerate(eds):
-        ed = check_real(f"emotional distance at step {t}", float(ed), 0.0)
-        total += p_pos * ed + (1.0 - p_pos) * progress * ed
-    return total
-
-
-def ner_loss(p_neg: float, dists: Sequence[np.ndarray] | np.ndarray, matrix: VadMatrix) -> float:
-    """sum_t p_neg * || E[vad]_t ||_2 over per-step token distributions."""
-    check_real("p_neg", p_neg, 0.0, 1.0)
-    total = 0.0
-    for dist in dists:
-        p = check_distribution(dist, matrix.vocab_size)
-        total += p_neg * float(np.linalg.norm(p @ matrix.values))
-    return total
 
 
 def _check_logits(logits: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
@@ -149,12 +121,6 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise log softmax, numerically stable."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, numerically stable."""
-    shifted = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return shifted / shifted.sum(axis=-1, keepdims=True)
 
 
 def nll_loss(logits: np.ndarray, targets) -> float:

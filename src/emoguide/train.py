@@ -301,6 +301,7 @@ def evaluate_nll(
 
     Each chunk of ``chunk_size`` examples runs as one packed batch, its
     examples that nest sharing a stream as in training."""
+    check_int("chunk_size", chunk_size)
     if model.vocab is None:
         raise ValueError("model needs an attached vocabulary")
     if len(examples) == 0:

@@ -99,57 +99,36 @@ class VadLexicon:
         return Coverage(listed, defaulted)
 
 
-def load_lexicon(
-    records: Iterable[tuple[str, float, float, float]],
-    default: VadVector = VadVector(*NEUTRAL_MIDPOINT),
-) -> VadLexicon:
-    """Build a lexicon from (token, valence, arousal, dominance) records.
-
-    Components outside [0, 1] are rejected with the offending row number.
-    Duplicate tokens (after lowercasing) keep the last value and are counted
-    as collisions.  An empty record set is an error.
-    """
-    return _build_lexicon(enumerate(records, start=1), default)
-
-
 def load_lexicon_file(
     path, default: VadVector = VadVector(*NEUTRAL_MIDPOINT)
 ) -> VadLexicon:
     """Parse a UTF-8 TSV lexicon: token<TAB>valence<TAB>arousal<TAB>dominance.
 
-    Blank lines and lines starting with '#' are ignored.  Row numbers in error
-    messages refer to physical lines in the file, and messages name the file.
+    Blank lines and lines starting with '#' are ignored.  Components outside
+    [0, 1] are rejected.  Duplicate tokens (after lowercasing) keep the last
+    value and are counted as collisions.  A file with no entries is an error.
+    Error messages name the file and the physical line as its row number.
     """
-    lines = enumerate((line.strip() for line in read_lines(path)), start=1)
-    rows = ((n, line.split("\t")) for n, line in lines if line and not line.startswith("#"))
-    return _build_lexicon(rows, default, source=path)
-
-
-def _build_lexicon(numbered_records, default: VadVector, source=None) -> VadLexicon:
-    """The one lexicon builder, over (row number, record) pairs; error
-    messages start with ``source`` when one is given."""
-    where = "" if source is None else f"{source}: "
     entries: dict[str, VadVector] = {}
     collisions = 0
-    count = 0
-    for row_no, record in numbered_records:
-        count += 1
-        try:
-            token, v, a, d = record
-        except (TypeError, ValueError) as exc:
-            raise LexiconFormatError(f"{where}row {row_no}: expected 4 fields") from exc
-        if not isinstance(token, str) or not token:
-            raise LexiconFormatError(f"{where}row {row_no}: bad token {token!r}")
+    for row_no, line in enumerate((line.strip() for line in read_lines(path)), start=1):
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 4:
+            raise LexiconFormatError(f"{path}: row {row_no}: expected 4 fields")
+        token, v, a, d = fields
+        if not token:
+            raise LexiconFormatError(f"{path}: row {row_no}: bad token {token!r}")
         try:
             vec = VadVector(float(v), float(a), float(d))
-        except (TypeError, ValueError) as exc:
-            raise LexiconFormatError(f"{where}row {row_no}: {exc}") from exc
+        except ValueError as exc:
+            raise LexiconFormatError(f"{path}: row {row_no}: {exc}") from exc
         key = token.lower()
-        if key in entries:
-            collisions += 1
+        collisions += key in entries
         entries[key] = vec
-    if count == 0:
-        raise LexiconFormatError(f"{where}empty lexicon source")
+    if not entries:
+        raise LexiconFormatError(f"{path}: empty lexicon source")
     return VadLexicon(entries=entries, default=default, collisions=collisions)
 
 
@@ -217,24 +196,3 @@ def utterance_mean_vad(lexicon: VadLexicon, tokens: Sequence[str]) -> VadVector:
     n = len(tokens)
     return VadVector(valence / n, arousal / n, dominance / n)
 
-
-def check_distribution(probs: np.ndarray, vocab_size: int | None = None) -> np.ndarray:
-    """Validate a probability vector: finite, nonnegative, sums to 1 within 1e-9."""
-    p = np.asarray(probs, dtype=np.float64)
-    if p.ndim != 1:
-        raise ValueError(f"expected a 1-d distribution, got shape {p.shape}")
-    if vocab_size is not None and p.shape[0] != vocab_size:
-        raise ValueError(f"distribution length {p.shape[0]} != vocab size {vocab_size}")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("non-finite probability")
-    if p.min() < 0.0:
-        raise ValueError("negative probability")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
-    return p
-
-
-def expected_vad(probs: np.ndarray, matrix: VadMatrix) -> VadVector:
-    """Probability-weighted mean VAD vector under a token distribution."""
-    p = check_distribution(probs, matrix.vocab_size)
-    return VadVector.from_array(p @ matrix.values)

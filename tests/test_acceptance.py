@@ -21,18 +21,15 @@ from emoguide.model import DecodeConfig
 from emoguide.objective import (
     PegeConfig,
     dialog_progress,
-    emotional_distance,
     finite_diff_check,
     gradient_check_suite,
-    ner_loss,
     nll_loss,
-    peg_loss,
     pege_loss,
-    softmax,
 )
 from emoguide.polarity import PolarityDistribution
 from emoguide.selfchat import SelfChatConfig, load_seed_utterances, self_chat
 from emoguide.vad import VadMatrix
+from oracles import emotional_distance, ner_loss, peg_loss, softmax
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:

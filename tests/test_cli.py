@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from emoguide import objective
 from emoguide.cli import main
-from emoguide.corpus import load_corpus, read_corpus_meta
-from emoguide.model import CKPT_MAGIC, checkpoint_config_hash, load_checkpoint
+from emoguide.corpus import load_corpus, read_jsonl
+from emoguide.model import CKPT_MAGIC, _read_header, load_checkpoint
 from emoguide.resources import LEXICON_FILE, data_path
 
 
@@ -92,6 +92,15 @@ def _config_hash(root):
     return load_run_config(root / "run.json").config_hash()
 
 
+def _meta(path) -> dict | None:
+    return read_jsonl(path, lambda r: r)[0]
+
+
+def _checkpoint_config_hash(path) -> str | None:
+    with open(path, "rb") as fh:
+        return _read_header(fh, path)["config_hash"]
+
+
 def test_echo_line_is_json_with_hash_and_seed(workdir, capsys):
     out = workdir / "echo_corpus.jsonl"
     assert main(["synth", str(workdir / "run.json"), "-o", str(out)]) == 0
@@ -109,7 +118,7 @@ def test_synth_output_embeds_hash_and_is_deterministic(workdir):
     assert main(["synth", str(workdir / "run.json"), "-o", str(a)]) == 0
     assert main(["synth", str(workdir / "run.json"), "-o", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
-    meta = read_corpus_meta(a)
+    meta = _meta(a)
     assert meta["config_hash"] == _config_hash(workdir)
     assert meta["dialogs"] == 12
     assert len(load_corpus(a)) == 12
@@ -125,7 +134,7 @@ def test_seed_flag_changes_output_and_hash(workdir, capsys):
     assert echo["seed"] == 8
     assert echo["config_hash"] != _config_hash(workdir)
     assert base.read_bytes() != other.read_bytes()
-    assert read_corpus_meta(other)["config_hash"] == echo["config_hash"]
+    assert _meta(other)["config_hash"] == echo["config_hash"]
 
 
 def test_filter_report(workdir):
@@ -158,7 +167,7 @@ def test_filter_report(workdir):
         "rule_6_offensive",
     }
     assert all(v == 0 for v in report["rejected"].values())
-    meta = read_corpus_meta(out)
+    meta = _meta(out)
     assert meta["retained"] == 12
 
 
@@ -171,7 +180,7 @@ def test_train_checkpoint_embeds_hash_and_is_deterministic(workdir):
     assert main(["train", str(config), "--corpus", str(kept), "-o", str(a), "--log", str(log)]) == 0
     assert main(["train", str(config), "--corpus", str(kept), "-o", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
-    assert checkpoint_config_hash(a) == _config_hash(workdir)
+    assert _checkpoint_config_hash(a) == _config_hash(workdir)
     model = load_checkpoint(a)
     assert model.step_count == 3
 
@@ -204,7 +213,7 @@ def test_train_ablation_changes_hash_and_total(workdir, capsys):
         )
         == 0
     )
-    assert checkpoint_config_hash(out) != _config_hash(workdir)
+    assert _checkpoint_config_hash(out) != _config_hash(workdir)
     entries = [json.loads(line) for line in log.read_text().splitlines()[1:]]
     for e in entries:
         assert e["total"] == pytest.approx(e["nll"], abs=1e-9)
@@ -223,7 +232,7 @@ def test_selfchat_deterministic_and_counts(workdir):
     assert len(dialogs) == 3
     assert all(len(d.utterances) == 4 for d in dialogs)  # 2 turns -> 4 utterances
     assert dialogs[0].utterances[0].text == "awful terrible day"
-    meta = read_corpus_meta(a)
+    meta = _meta(a)
     assert meta["config_hash"] is not None
     assert meta["agent_model"] and meta["user_model"]
 
@@ -286,10 +295,22 @@ def test_lexicon_stats(workdir, capsys):
     assert stats["entries"] > 0
 
 
-def test_unknown_subcommand_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+def test_unknown_subcommand_exits_2(capsys):
+    """Usage errors exit 2 with argparse's message: an unknown subcommand, and
+    a count or seed that is not an integer in range."""
+    for argv in (
+        ["frobnicate"],
+        ["gradcheck", "run.json", "--cases", "0"],
+        ["gradcheck", "run.json", "--cases", "-1"],
+        ["gradcheck", "run.json", "--cases", "abc"],
+        ["gradcheck", "run.json", "--seed", "x"],
+        ["selfchat", "a.ckpt", "u.ckpt", "run.json", "-o", "x.jsonl", "--threads", "0"],
+        ["selfchat", "a.ckpt", "u.ckpt", "run.json", "-o", "x.jsonl", "--threads", "2.5"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "usage: emoguide" in capsys.readouterr().err, argv
 
 
 def test_malformed_config_exits_2(tmp_path, capsys):

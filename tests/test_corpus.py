@@ -2,6 +2,10 @@
 
 import importlib.util
 import json
+import os
+import stat
+import threading
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -9,14 +13,13 @@ import pytest
 
 from emoguide.corpus import (
     RULE_NAMES,
+    WORD_BANK,
     Dialog,
     FilterRules,
     SynthConfig,
     TrainingExample,
     Utterance,
     apportion,
-    bank_records,
-    corpus_stats,
     dialog_from_record,
     dialog_to_record,
     filter_dialogs,
@@ -24,9 +27,10 @@ from emoguide.corpus import (
     load_corpus,
     prepare_training_examples,
     prepare_user_side_examples,
-    read_corpus_meta,
+    read_jsonl,
     save_corpus,
     synthesize_corpus,
+    write_jsonl,
 )
 from emoguide.polarity import ClassifierParams, PolarityClassifier
 from emoguide.config import default_run_config
@@ -59,13 +63,16 @@ def dialog_of(*pairs):
 # ---------------------------------------------------------- word bank
 
 
+BANK_RECORDS = [row for rows in WORD_BANK.values() for row in rows]
+
+
 def test_packaged_lexicon_matches_word_bank(lexicon):
-    for word, v, a, d in bank_records():
+    for word, v, a, d in BANK_RECORDS:
         assert lexicon.entries[word] == VadVector(v, a, d), word
 
 
 def test_bank_words_are_distinct_across_bands():
-    words = [w for w, *_ in bank_records()]
+    words = [w for w, *_ in BANK_RECORDS]
     assert len(words) == len(set(words))
 
 
@@ -123,10 +130,8 @@ def test_synthesis_survives_default_filters(classifier, rules):
 
 def test_synthesis_polarity_mix(classifier):
     dialogs = synthesize_corpus(SynthConfig(num_dialogs=100), seed=3)
-    stats = corpus_stats(dialogs, classifier)
-    assert stats.sessions == {"negative": 33, "neutral": 34, "positive": 33}
-    assert stats.total_sessions == 100
-    assert stats.total_utterances == sum(len(d.utterances) for d in dialogs)
+    openers = Counter(classifier.label(d.utterances[0].tokens) for d in dialogs)
+    assert openers == {"negative": 33, "neutral": 34, "positive": 33}
 
 
 def test_synthesis_trajectory_tags():
@@ -329,7 +334,7 @@ def test_corpus_round_trip(tmp_path, classifier):
     dialogs = synthesize_corpus(SynthConfig(num_dialogs=12), seed=4)
     path = tmp_path / "corpus.jsonl"
     save_corpus(path, dialogs, meta={"config_hash": "abc123", "seed": 4})
-    assert read_corpus_meta(path) == {"config_hash": "abc123", "seed": 4}
+    assert read_jsonl(path, lambda r: r)[0] == {"config_hash": "abc123", "seed": 4}
     loaded = load_corpus(path)
     assert loaded == dialogs
 
@@ -338,8 +343,56 @@ def test_corpus_without_meta(tmp_path):
     dialogs = synthesize_corpus(SynthConfig(num_dialogs=3), seed=6)
     path = tmp_path / "plain.jsonl"
     save_corpus(path, dialogs)
-    assert read_corpus_meta(path) is None
+    assert read_jsonl(path, lambda r: r)[0] is None
     assert load_corpus(path) == dialogs
+
+
+def test_a_failed_write_keeps_the_previous_file_and_leaves_no_temporary(tmp_path):
+    dialogs = synthesize_corpus(SynthConfig(num_dialogs=3), seed=6)
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(path, dialogs, meta={"seed": 6})
+    before = path.read_bytes()
+
+    def records():
+        yield dialog_to_record(dialogs[0])
+        raise RuntimeError("disk full")
+
+    with pytest.raises(RuntimeError, match="disk full"):
+        write_jsonl(path, records(), meta={"seed": 7})
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["corpus.jsonl"]
+    # a target that cannot be created is named in the error, not the temporary file
+    missing = tmp_path / "no_such_dir" / "corpus.jsonl"
+    with pytest.raises(FileNotFoundError, match=str(missing)):
+        write_jsonl(missing, [])
+
+
+def test_written_files_get_the_permissions_of_a_plain_open(tmp_path):
+    plain = tmp_path / "plain.jsonl"
+    plain.write_text("")
+    path = tmp_path / "out.jsonl"
+    write_jsonl(path, [{"a": 1}])
+    assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+    path.chmod(0o640)  # a replaced file keeps its own
+    write_jsonl(path, [{"a": 2}])
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    # a symlink is written through and stays a symlink
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(path)
+    write_jsonl(link, [{"a": 3}])
+    assert link.is_symlink() and path.read_text() == '{"a": 3}\n'
+
+
+def test_a_pipe_is_written_in_place(tmp_path):
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(pipe.read_bytes()), daemon=True)
+    reader.start()
+    write_jsonl(pipe, [{"a": 1}])
+    reader.join(timeout=10)
+    assert got == [b'{"a": 1}\n']
+    assert stat.S_ISFIFO(pipe.stat().st_mode)
 
 
 def test_load_corpus_reports_bad_line(tmp_path):

@@ -18,11 +18,11 @@ from emoguide.metrics import (
     pege_score,
 )
 from emoguide.config import default_run_config
-from emoguide.vad import VadVector, load_lexicon
+from emoguide.vad import VadLexicon, VadVector
 
 
 def lex_of(table):
-    return load_lexicon([(w, v, a, d) for w, (v, a, d) in table.items()])
+    return VadLexicon(entries={w: VadVector(*vad) for w, vad in table.items()})
 
 
 def dialog_of(*pairs):

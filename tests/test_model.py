@@ -13,13 +13,12 @@ from emoguide.model import (
     Model,
     ModelConfig,
     backward,
-    checkpoint_config_hash,
+    _check_ids,
     _choose,
     _feed,
     _forward_cached,
     _scatter_rows,
     _sigmoid,
-    forward,
     generate,
     generate_batch,
     init_model,
@@ -31,6 +30,7 @@ from emoguide.model import (
 )
 from emoguide.objective import finite_diff_check
 from emoguide.vocab import build_vocab
+from oracles import forward
 
 TINY = ModelConfig(vocab_size=7, embed_dim=4, hidden_dim=5, num_layers=2, context_window=32)
 
@@ -69,16 +69,17 @@ def test_forward_shapes_and_validation():
     batch = forward(m, np.array([[1, 2, 3], [4, 5, 6]]))
     assert batch.shape == (2, 3, TINY.vocab_size)
     np.testing.assert_allclose(batch[0], single, rtol=1e-6)
-    with pytest.raises(ValueError):
-        forward(m, np.array([7]))  # out of range
-    with pytest.raises(ValueError):
-        forward(m, np.zeros(33, dtype=np.int64))  # over-length
-    with pytest.raises(ValueError):
-        forward(m, np.array([], dtype=np.int64))
-    with pytest.raises(ValueError):
-        forward(m, np.array([0.5]))
+    # the checks that decoding's contexts go through
+    for bad in (
+        np.array([7]),  # out of range
+        np.zeros(33, dtype=np.int64),  # over-length
+        np.array([], dtype=np.int64),
+        np.array([0.5]),
+    ):
+        with pytest.raises(ValueError):
+            generate_batch(m, [bad])
     with pytest.raises(ValueError, match="no token streams"):
-        forward(m, np.zeros((0, 3), dtype=np.int64))
+        _check_ids([], TINY.vocab_size, TINY.context_window)
 
 
 def test_causality():
@@ -700,7 +701,6 @@ def test_checkpoint_rejects_garbage(tmp_path):
 def test_checkpoint_header_readers_fail_in_one_line(tmp_path, data):
     p = tmp_path / "bad.ckpt"
     p.write_bytes(data)
-    for reader in (load_checkpoint, checkpoint_config_hash):
-        with pytest.raises(ValueError) as info:
-            reader(p)
-        assert "\n" not in str(info.value)
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(p)
+    assert "\n" not in str(info.value)

@@ -13,13 +13,13 @@ from emoguide.polarity import (
     classify_polarity,
     polarity_label,
 )
-from emoguide.vad import load_lexicon
+from emoguide.vad import VadLexicon, VadVector
 
 KAPPA0 = ClassifierParams(temperature=0.1, neutral_bias=0.0)
 
 
 def lexicon_with_valences(valences):
-    return load_lexicon([(f"w{i}", v, 0.5, 0.5) for i, v in enumerate(valences)])
+    return VadLexicon(entries={f"w{i}": VadVector(v, 0.5, 0.5) for i, v in enumerate(valences)})
 
 
 def tokens(n):

@@ -344,6 +344,12 @@ def test_evaluate_nll_chunking_invariant(examples, vocab, lexicon):
     assert a == pytest.approx(b, rel=1e-6)
 
 
+@pytest.mark.parametrize("chunk_size", [-3, 0, 2.5])
+def test_evaluate_nll_rejects_a_bad_chunk_size(examples, vocab, chunk_size):
+    with pytest.raises(ValueError, match="chunk_size must be an integer >= 1"):
+        evaluate_nll(small_model(vocab, seed=4), examples[:3], chunk_size=chunk_size)
+
+
 def test_divergence_is_reported(examples, vocab, lexicon):
     model = small_model(vocab)
     cfg = TrainConfig(learning_rate=1e36, batch_size=8, max_steps=50, seed=0)

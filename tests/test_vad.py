@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,19 +7,24 @@ from hypothesis import strategies as st
 
 from emoguide.vad import (
     LexiconFormatError,
-    VadMatrix,
+    VadLexicon,
     VadVector,
     align_vocab,
-    expected_vad,
-    load_lexicon,
     load_lexicon_file,
     tokenize,
     utterance_mean_vad,
 )
 
 
-def make_lexicon(rows):
-    return load_lexicon(rows)
+def make_lexicon(rows, **kwargs):
+    return VadLexicon(entries={t: VadVector(v, a, d) for t, v, a, d in rows}, **kwargs)
+
+
+def lexicon_file(tmp_path, rows):
+    """Write (token, valence, arousal, dominance) rows as a TSV lexicon and load it."""
+    p = tmp_path / "lex.tsv"
+    p.write_text("".join("\t".join(map(str, row)) + "\n" for row in rows), encoding="utf-8")
+    return load_lexicon_file(p)
 
 
 def test_tokenize_lowercases_and_drops_punctuation():
@@ -40,8 +43,8 @@ def test_vad_vector_bounds():
         VadVector(0.5, 0.5, float("nan"))
 
 
-def test_load_lexicon_basicsand_case_normalization():
-    lex = make_lexicon([("GOOD", 0.9, 0.6, 0.7), ("bad", 0.1, 0.4, 0.3)])
+def test_load_lexicon_basicsand_case_normalization(tmp_path):
+    lex = lexicon_file(tmp_path, [("GOOD", 0.9, 0.6, 0.7), ("bad", 0.1, 0.4, 0.3)])
     assert lex.lookup("good") == VadVector(0.9, 0.6, 0.7)
     # normalization happens once at load; lookups do not re-normalize
     assert lex.lookup("GOOD") == lex.default
@@ -49,20 +52,20 @@ def test_load_lexicon_basicsand_case_normalization():
     assert lex.default == VadVector(0.5, 0.5, 0.5)
 
 
-def test_load_lexicon_duplicates_last_wins_and_counted():
-    lex = make_lexicon([("word", 0.1, 0.1, 0.1), ("Word", 0.9, 0.9, 0.9)])
+def test_load_lexicon_duplicates_last_wins_and_counted(tmp_path):
+    lex = lexicon_file(tmp_path, [("word", 0.1, 0.1, 0.1), ("Word", 0.9, 0.9, 0.9)])
     assert lex.collisions == 1
     assert lex.lookup("word") == VadVector(0.9, 0.9, 0.9)
 
 
-def test_load_lexicon_rejects_out_of_range_with_row_number():
+def test_load_lexicon_rejects_out_of_range_with_row_number(tmp_path):
     with pytest.raises(LexiconFormatError, match="row 1"):
-        make_lexicon([("x", 1.2, 0.5, 0.5)])
+        lexicon_file(tmp_path, [("x", 1.2, 0.5, 0.5)])
 
 
-def test_load_lexicon_empty_is_error():
-    with pytest.raises(LexiconFormatError):
-        make_lexicon([])
+def test_load_lexicon_empty_is_error(tmp_path):
+    with pytest.raises(LexiconFormatError, match="empty"):
+        lexicon_file(tmp_path, [])
 
 
 def test_load_lexicon_file(tmp_path):
@@ -155,7 +158,7 @@ def _numpy_mean_vad(lexicon, tokens) -> np.ndarray:
 )
 def test_utterance_mean_vad_has_the_bits_of_the_array_formula(vads, picks, default):
     # w0..w5 may be listed; w6..w8 never are, so they take the default
-    lex = load_lexicon([(f"w{i}", *vad) for i, vad in enumerate(vads)],
+    lex = make_lexicon([(f"w{i}", *vad) for i, vad in enumerate(vads)],
                        default=VadVector(*np.float32(default)))
     tokens = [f"w{k}" for k in picks]
     got = utterance_mean_vad(lex, tokens)
@@ -163,65 +166,10 @@ def test_utterance_mean_vad_has_the_bits_of_the_array_formula(vads, picks, defau
     assert got.to_array().tobytes() == _numpy_mean_vad(lex, tokens).tobytes()
 
 
-def _matrix(rows) -> VadMatrix:
-    lex = make_lexicon([(f"w{i}", *row) for i, row in enumerate(rows)])
-    return align_vocab(lex, [f"w{i}" for i in range(len(rows))])
-
-
-def test_expected_vad_point_mass_recovers_row():
-    mat = _matrix([(0.1, 0.2, 0.3), (0.7, 0.8, 0.9)])
-    got = expected_vad(np.array([0.0, 1.0]), mat)
-    assert got.to_array() == pytest.approx([0.7, 0.8, 0.9], abs=1e-12)
-
-
-def test_expected_vad_frozen_example():
-    # weights (0.25, 0.75) over rows (0,0,0) and (1,1,1) -> (0.75, 0.75, 0.75)
-    mat = _matrix([(0.0, 0.0, 0.0), (1.0, 1.0, 1.0)])
-    got = expected_vad(np.array([0.25, 0.75]), mat)
-    assert got.to_array() == pytest.approx([0.75, 0.75, 0.75], abs=0)
-
-
-def test_expected_vad_rejects_bad_distributions():
-    mat = _matrix([(0.1, 0.2, 0.3), (0.7, 0.8, 0.9)])
-    with pytest.raises(ValueError):
-        expected_vad(np.array([0.5, 0.6]), mat)  # sums to 1.1
-    with pytest.raises(ValueError):
-        expected_vad(np.array([-0.5, 1.5]), mat)
-    with pytest.raises(ValueError):
-        expected_vad(np.array([1.0]), mat)  # wrong length
-
-
-@settings(max_examples=50)
-@given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0, allow_nan=False))
-def test_expected_vad_is_linear_in_the_distribution(seed, lam):
-    rng = np.random.default_rng(seed)
-    mat = _matrix(rng.uniform(0.0, 1.0, size=(5, 3)))
-    d1 = rng.dirichlet(np.ones(5))
-    d2 = rng.dirichlet(np.ones(5))
-    mix = lam * d1 + (1.0 - lam) * d2
-    mix = mix / mix.sum()
-    left = expected_vad(mix, mat).to_array()
-    right = lam * expected_vad(d1, mat).to_array() + (1.0 - lam) * expected_vad(d2, mat).to_array()
-    np.testing.assert_allclose(left, right, atol=1e-12)
-
-
-def test_expected_vad_permutation_equivariance():
-    rng = np.random.default_rng(7)
-    rows = rng.uniform(0.0, 1.0, size=(6, 3))
-    mat = _matrix(rows)
-    probs = rng.dirichlet(np.ones(6))
-    perm = rng.permutation(6)
-    mat_p = _matrix(rows[perm])
-    before = expected_vad(probs, mat).to_array()
-    after = expected_vad(probs[perm], mat_p).to_array()
-    # permuting rows and weights together leaves the expectation unchanged
-    np.testing.assert_allclose(after, before, atol=1e-12)
-
-
 def test_mean_is_expected_vad_under_uniform_weights():
     lex = make_lexicon([("a", 0.2, 0.3, 0.4), ("b", 0.6, 0.7, 0.8), ("c", 0.1, 0.1, 0.9)])
     tokens = ["a", "b", "c"]
     mat = align_vocab(lex, tokens)
     mean = utterance_mean_vad(lex, tokens).to_array()
-    unif = expected_vad(np.full(3, 1.0 / 3.0), mat).to_array()
+    unif = np.full(3, 1.0 / 3.0) @ mat.values  # E[vad] under uniform weights
     np.testing.assert_allclose(mean, unif, atol=1e-12)
