@@ -27,7 +27,6 @@ from .corpus import (
 )
 from .metrics import (
     MetricsReport,
-    NEUTRAL_BASELINE,
     bleu,
     distinct_n,
     e_score,
@@ -50,6 +49,7 @@ from .polarity import ClassifierParams, PolarityClassifier, PolarityDistribution
 from .selfchat import SeedUtterance, SelfChatConfig, load_seed_utterances, self_chat
 from .train import TrainConfig, TrainingDivergedError, evaluate_nll, train
 from .vad import (
+    NEUTRAL_BASELINE,
     VadLexicon,
     VadMatrix,
     VadVector,

@@ -148,7 +148,9 @@ def cmd_gradcheck(args, config: RunConfig) -> int:
     if np.finfo(objective.REFERENCE_DTYPE).eps >= np.finfo(np.float64).eps:
         print("note: np.longdouble is float64 on this platform, so the finite-difference "
               "reference has no extra precision")
-    error = objective.gradient_check_suite(seed=config.seed, cases=args.cases)
+    error = objective.gradient_check_suite(
+        seed=config.seed, cases=args.cases, config=config.pege_config()
+    )
     ok = error <= GRADCHECK_TOLERANCE
     print(f"max relative error {error:.6e} over {args.cases} cases "
           f"({'within' if ok else 'EXCEEDS'} {GRADCHECK_TOLERANCE:g})")

@@ -1,12 +1,12 @@
 """Declarative run configuration.
 
 A run config is a single JSON document with fixed sections.  Loading merges
-it over the defaults, rejecting unknown keys at any depth, validates every
-section, and applies environment-variable overrides (paths only:
-``EMOGUIDE_LEXICON``, ``EMOGUIDE_CORPUS``, ...).  A section's defaults are
-those of the dataclass it builds.  The resolved document has
-every default spelled out; its canonical serialization is hashed so output
-files can be traced back to the exact settings that produced them.
+it over the defaults, rejecting unknown keys at any depth, and validates
+every section.  A section's defaults are those of the dataclass it builds.
+The resolved document has every default spelled out; its canonical
+serialization is hashed so output files can be traced back to the exact
+settings that produced them.  The file is a run's only source of settings,
+apart from the CLI's ``--seed``, ``--ablation`` and ``train --corpus``.
 
 File paths left null fall back to the packaged fixtures where one exists
 (lexicon, blocklists, self-chat seeds); the corpus path has no default.
@@ -17,7 +17,6 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-import os
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -43,8 +42,6 @@ from .vad import VadLexicon, load_lexicon_file
 class ConfigError(Exception):
     """Malformed run configuration (bad syntax, unknown key, bad value)."""
 
-
-ENV_PREFIX = "EMOGUIDE_"
 
 _PACKAGED = {
     "lexicon": LEXICON_FILE,
@@ -95,15 +92,6 @@ def _merge(defaults: dict, override: dict, crumb: str) -> dict:
     return out
 
 
-def _apply_env(paths: dict) -> dict:
-    out = dict(paths)
-    for key in out:
-        env = os.environ.get(ENV_PREFIX + key.upper())
-        if env:
-            out[key] = env
-    return out
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Fully resolved configuration document."""
@@ -118,7 +106,6 @@ class RunConfig:
         for key, value in data["paths"].items():
             if value is not None and not isinstance(value, str):
                 raise ConfigError(f"paths.{key} must be a string or null, got {value!r}")
-        data["paths"] = _apply_env(data["paths"])
         config = cls(data=data)
         config._build(check_int, name="seed", value=data["seed"], minimum=0)
         # Build every section once, so any stage rejects any invalid section.

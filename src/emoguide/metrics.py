@@ -6,7 +6,8 @@ user end up feeling better?), the empathy score at agent utterances in
 the first floor(n/2) positions (did the agent meet the opener's mood?).
 Both average per-utterance mean VAD so dialogs of different lengths are
 comparable.  Lexical metrics are corpus BLEU (modified n-gram precision
-with a brevity penalty) and distinct-n diversity.
+with a brevity penalty), for scoring utterances against references, and
+distinct-n diversity, which ``evaluate_run`` reports.
 """
 
 from __future__ import annotations
@@ -20,19 +21,14 @@ import numpy as np
 
 from .checks import check_int, check_real
 from .corpus import Dialog
-from .vad import VadLexicon, VadVector, tokenize, utterance_mean_vad
+from .vad import NEUTRAL_BASELINE, VadLexicon, tokenize, utterance_mean_vad
 from .vocab import AGENT, USER
 
-NEUTRAL_BASELINE = VadVector(0.5, 0.5, 0.5)
-
-
-def peg_score(
-    dialog: Dialog, lexicon: VadLexicon, baseline: VadVector = NEUTRAL_BASELINE
-) -> float:
-    """Baseline-relative mean user VAD over the dialog's last half, summed
-    across the three affect dimensions.  Positive means the user's word
-    choices ended up above the baseline; with the neutral 0.5 baseline the
-    value lies in [-1.5, 1.5].
+def peg_score(dialog: Dialog, lexicon: VadLexicon) -> float:
+    """Mean user VAD over the dialog's last half minus the neutral baseline
+    (0.5, 0.5, 0.5), summed across the three affect dimensions.  Positive
+    means the user's word choices ended up above neutral; the value lies in
+    [-1.5, 1.5].
     """
     utts = dialog.utterances
     if sum(u.speaker == USER for u in utts) < 2:
@@ -46,7 +42,7 @@ def peg_score(
     ]
     if not user_means:
         raise ValueError(f"{dialog.source_id}: no user utterances in the last half")
-    base = baseline.to_array()
+    base = NEUTRAL_BASELINE.to_array()
     per_dim = np.mean(user_means, axis=0) - base
     return float(per_dim.sum())
 
@@ -155,8 +151,6 @@ class MetricsReport:
     pege_std: float
     distinct1: float | None
     distinct2: float | None
-    bleu1: float | None
-    bleu2: float | None
     breakdown: tuple[DialogScores, ...]
 
 
@@ -166,30 +160,21 @@ def _std(values: Sequence[float]) -> float:
     return float(np.std(values, ddof=1))
 
 
-def evaluate_run(
-    dialogs: Sequence[Dialog],
-    lexicon: VadLexicon,
-    baseline: VadVector = NEUTRAL_BASELINE,
-    bleu_candidates: Sequence | None = None,
-    bleu_references: Sequence | None = None,
-) -> MetricsReport:
+def evaluate_run(dialogs: Sequence[Dialog], lexicon: VadLexicon) -> MetricsReport:
     """Score a set of dialogs.
 
     Emotional scores are per-dialog and averaged; dialogs violating a metric
     precondition (no qualifying utterances in the relevant half) are skipped
     and counted.  Diversity is pooled over every agent utterance and reported
-    as null when no n-gram of that order exists.  BLEU needs an aligned
-    candidate/reference pair and is otherwise reported as null.
+    as null when no n-gram of that order exists.
     """
     if len(dialogs) == 0:
         raise ValueError("no dialogs to evaluate")
-    if (bleu_candidates is None) != (bleu_references is None):
-        raise ValueError("bleu needs both candidates and references")
     breakdown: list[DialogScores] = []
     skipped = 0
     for d in dialogs:
         try:
-            peg = peg_score(d, lexicon, baseline)
+            peg = peg_score(d, lexicon)
             e = e_score(d, lexicon)
         except ValueError:
             skipped += 1
@@ -210,10 +195,6 @@ def evaluate_run(
         except ValueError:
             return None
 
-    b1 = b2 = None
-    if bleu_candidates is not None:
-        b1 = bleu(bleu_candidates, bleu_references, 1)
-        b2 = bleu(bleu_candidates, bleu_references, 2)
     return MetricsReport(
         n_dialogs=len(dialogs),
         skipped=skipped,
@@ -225,7 +206,5 @@ def evaluate_run(
         pege_std=_std(peges),
         distinct1=pooled_distinct(1),
         distinct2=pooled_distinct(2),
-        bleu1=b1,
-        bleu2=b2,
         breakdown=tuple(breakdown),
     )

@@ -77,7 +77,7 @@ class LossBreakdown:
     grad_logits: np.ndarray
 
 
-def dialog_progress(context_turns: int, max_turn: int = 7) -> float:
+def dialog_progress(context_turns: int, max_turn: int = PegeConfig.max_turn) -> float:
     """Mirroring schedule cos(pi * |C| / max_turn); |C| is clamped at max_turn.
 
     Starts at +1 (mirror the opener's emotion), crosses zero mid-dialog, and
@@ -256,7 +256,6 @@ def finite_diff_check(
 def gradient_check_suite(
     seed: int = 0,
     cases: int = 10,
-    eps: float = 1e-5,
     config: PegeConfig = PegeConfig(),
 ) -> float:
     """Worst finite-difference relative error across random small problems.
@@ -272,7 +271,7 @@ def gradient_check_suite(
     worst = 0.0
     for _ in range(cases):
         V = int(rng.integers(4, 17))
-        matrix = VadMatrix(values=rng.uniform(0.0, 1.0, size=(V, 3)), listed=V)
+        matrix = VadMatrix(values=rng.uniform(0.0, 1.0, size=(V, 3)))
         examples = []  # (logits, targets, u1_mean, polarity, context_turns)
         for _ in range(int(rng.integers(1, 4))):
             T = int(rng.integers(1, 5))
@@ -302,5 +301,5 @@ def gradient_check_suite(
             def loss_at(x, _args=args, _m=matrix):
                 return pege_loss(x, *_args, _m, config).total
 
-            worst = max(worst, finite_diff_check(loss_at, x0, analytic[row == i], eps))
+            worst = max(worst, finite_diff_check(loss_at, x0, analytic[row == i]))
     return worst

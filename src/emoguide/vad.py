@@ -3,8 +3,8 @@
 Words carry 3-dim affect coordinates (valence, arousal, dominance), each in
 [0, 1]: valence runs negative -> positive, arousal calm -> excited, dominance
 submissive -> dominant.  A lexicon maps word tokens to such vectors and is
-total: tokens without an entry resolve to a configurable default, the cube's
-neutral midpoint (0.5, 0.5, 0.5), so they contribute no polarity signal.
+total: tokens without an entry resolve to the cube's neutral midpoint
+``NEUTRAL_BASELINE`` (0.5, 0.5, 0.5), so they contribute no polarity signal.
 
 Lexicons and aligned matrices are immutable after construction and safe to
 share across threads.
@@ -13,15 +13,13 @@ share across threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .checks import check_real
 from .resources import read_lines
-
-NEUTRAL_MIDPOINT = (0.5, 0.5, 0.5)
 
 _WORD_RE = re.compile(r"[\w']+")
 
@@ -50,10 +48,8 @@ class VadVector:
     def to_array(self) -> np.ndarray:
         return np.array([self.valence, self.arousal, self.dominance], dtype=np.float64)
 
-    @classmethod
-    def from_array(cls, arr: Sequence[float]) -> "VadVector":
-        v, a, d = (float(x) for x in arr)
-        return cls(v, a, d)
+
+NEUTRAL_BASELINE = VadVector(0.5, 0.5, 0.5)
 
 
 class Coverage(NamedTuple):
@@ -68,7 +64,7 @@ class Coverage(NamedTuple):
 
 @dataclass(frozen=True)
 class VadLexicon:
-    """Total token -> VadVector mapping with a default for unlisted tokens.
+    """Total token -> VadVector mapping; unlisted tokens map to ``NEUTRAL_BASELINE``.
 
     Keys are case-normalized (lowercased) exactly once, at load time; lookups
     do not re-normalize.  ``collisions`` counts duplicate raw entries, which
@@ -76,11 +72,10 @@ class VadLexicon:
     """
 
     entries: dict[str, VadVector]
-    default: VadVector = field(default=VadVector(*NEUTRAL_MIDPOINT))
     collisions: int = 0
 
     def lookup(self, token: str) -> VadVector:
-        return self.entries.get(token, self.default)
+        return self.entries.get(token, NEUTRAL_BASELINE)
 
     def __contains__(self, token: str) -> bool:
         return token in self.entries
@@ -99,9 +94,7 @@ class VadLexicon:
         return Coverage(listed, defaulted)
 
 
-def load_lexicon_file(
-    path, default: VadVector = VadVector(*NEUTRAL_MIDPOINT)
-) -> VadLexicon:
+def load_lexicon_file(path) -> VadLexicon:
     """Parse a UTF-8 TSV lexicon: token<TAB>valence<TAB>arousal<TAB>dominance.
 
     Blank lines and lines starting with '#' are ignored.  Components outside
@@ -129,7 +122,7 @@ def load_lexicon_file(
         entries[key] = vec
     if not entries:
         raise LexiconFormatError(f"{path}: empty lexicon source")
-    return VadLexicon(entries=entries, default=default, collisions=collisions)
+    return VadLexicon(entries=entries, collisions=collisions)
 
 
 @dataclass(frozen=True)
@@ -137,12 +130,9 @@ class VadMatrix:
     """Per-token VAD rows aligned to a fixed vocabulary order.
 
     ``values`` has shape (vocab_size, 3), float64, and is read-only.
-    ``listed`` counts vocabulary tokens that had a lexicon entry; the rest
-    received the default row.
     """
 
     values: np.ndarray
-    listed: int
 
     def __post_init__(self) -> None:
         v = self.values
@@ -158,26 +148,13 @@ class VadMatrix:
     def vocab_size(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def coverage(self) -> Coverage:
-        return Coverage(self.listed, self.vocab_size - self.listed)
-
 
 def align_vocab(lexicon: VadLexicon, vocab: Sequence[str]) -> VadMatrix:
-    """Stack lexicon rows in vocabulary order, defaulting unlisted tokens."""
+    """Stack each vocabulary token's ``lookup`` row, in vocabulary order."""
     if len(vocab) == 0:
         raise ValueError("empty vocabulary")
-    values = np.empty((len(vocab), 3), dtype=np.float64)
-    listed = 0
-    default_row = lexicon.default.to_array()
-    for i, token in enumerate(vocab):
-        vec = lexicon.entries.get(token)
-        if vec is None:
-            values[i] = default_row
-        else:
-            values[i] = vec.to_array()
-            listed += 1
-    return VadMatrix(values=values, listed=listed)
+    values = np.array([lexicon.lookup(token).to_array() for token in vocab])
+    return VadMatrix(values=values)
 
 
 def utterance_mean_vad(lexicon: VadLexicon, tokens: Sequence[str]) -> VadVector:

@@ -66,10 +66,10 @@ def test_criterion_2_loss_component_oracles():
             failures.append(f"{label}: {actual!r} != {expected!r}")
 
     # emotional distance
-    m_ed = VadMatrix(values=np.array([[0.6, 0.3, 0.4]]), listed=1)
+    m_ed = VadMatrix(values=np.array([[0.6, 0.3, 0.4]]))
     close("ed single coordinate", emotional_distance((0.2, 0.3, 0.4), np.array([1.0]), m_ed), 0.4)
     close("ed identity", emotional_distance((0.6, 0.3, 0.4), np.array([1.0]), m_ed), 0.0)
-    m_mid = VadMatrix(values=np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]), listed=2)
+    m_mid = VadMatrix(values=np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]))
     close(
         "ed uniform midpoint",
         emotional_distance((0.0, 0.0, 0.0), np.array([0.5, 0.5]), m_mid),
@@ -87,10 +87,10 @@ def test_criterion_2_loss_component_oracles():
     close("peg blended", peg_loss(0.5, (0.4,), 0.5), 0.3)
 
     # regularizer term
-    m_345 = VadMatrix(values=np.array([[0.3, 0.4, 0.0]]), listed=1)
+    m_345 = VadMatrix(values=np.array([[0.3, 0.4, 0.0]]))
     close("ner 3-4-5 norm", ner_loss(1.0, [np.array([1.0])], m_345), 0.5)
     close("ner zero weight", ner_loss(0.0, [np.array([1.0])], m_345), 0.0)
-    m_z = VadMatrix(values=np.array([[0.0, 0.0, 1.0]]), listed=1)
+    m_z = VadMatrix(values=np.array([[0.0, 0.0, 1.0]]))
     close("ner two steps", ner_loss(0.5, [np.array([1.0]), np.array([1.0])], m_z), 1.0)
 
     # likelihood term
@@ -102,7 +102,7 @@ def test_criterion_2_loss_component_oracles():
 
     # composite loss
     rng = np.random.default_rng(5)
-    matrix = VadMatrix(values=rng.uniform(size=(8, 3)), listed=8)
+    matrix = VadMatrix(values=rng.uniform(size=(8, 3)))
     logits = rng.normal(scale=2.0, size=(3, 8)).astype(np.float64)
     targets = [2, 7, 0]
     u1 = (0.3, 0.6, 0.4)
@@ -142,7 +142,7 @@ def test_criterion_2_loss_component_oracles():
     for _ in range(1000):
         t_steps = int(rng.integers(1, 5))
         v_size = int(rng.integers(4, 17))
-        mat = VadMatrix(values=rng.uniform(size=(v_size, 3)), listed=v_size)
+        mat = VadMatrix(values=rng.uniform(size=(v_size, 3)))
         lg = rng.normal(scale=2.0, size=(t_steps, v_size))
         tg = rng.integers(0, v_size, size=t_steps).tolist()
         weights = rng.dirichlet(np.ones(3))

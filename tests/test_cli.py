@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -17,19 +18,6 @@ from emoguide.cli import main
 from emoguide.corpus import load_corpus, read_jsonl
 from emoguide.model import CKPT_MAGIC, _read_header, load_checkpoint
 from emoguide.resources import LEXICON_FILE, data_path
-
-
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    for name in (
-        "EMOGUIDE_LEXICON",
-        "EMOGUIDE_TOPIC_BLOCKLIST",
-        "EMOGUIDE_ENTITY_PATTERNS",
-        "EMOGUIDE_OFFENSIVE_BLOCKLIST",
-        "EMOGUIDE_SEEDS",
-        "EMOGUIDE_CORPUS",
-    ):
-        monkeypatch.delenv(name, raising=False)
 
 
 TINY = {
@@ -271,6 +259,16 @@ def test_gradcheck_passes(workdir, capsys):
     out = capsys.readouterr().out
     assert "max relative error" in out
     assert "within" in out
+
+
+def test_gradcheck_checks_the_configured_objective(tmp_path, capsys):
+    pege = objective.PegeConfig(alpha=0.5, beta=3.0, max_turn=3)
+    config = tmp_path / "objective.json"
+    config.write_text(json.dumps({"objective": asdict(pege)}))
+    assert main(["gradcheck", str(config), "--seed", "4", "--cases", "3"]) == 0
+    printed = capsys.readouterr().out.splitlines()[-1]
+    expected = objective.gradient_check_suite(seed=4, cases=3, config=pege)
+    assert printed.startswith(f"max relative error {expected:.6e} over 3 cases")
 
 
 def test_gradcheck_says_when_its_reference_has_no_extra_precision(workdir, capsys, monkeypatch):

@@ -1,4 +1,4 @@
-"""Run-config parsing: defaults, unknown keys, env overrides, hashing."""
+"""Run-config parsing: defaults, unknown keys, hashing, and the environment ignored."""
 
 import copy
 import json
@@ -7,19 +7,6 @@ import pytest
 
 from emoguide.config import _DEFAULTS, ConfigError, RunConfig, default_run_config, load_run_config
 from emoguide.vocab import Vocab
-
-
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    for name in (
-        "EMOGUIDE_LEXICON",
-        "EMOGUIDE_TOPIC_BLOCKLIST",
-        "EMOGUIDE_ENTITY_PATTERNS",
-        "EMOGUIDE_OFFENSIVE_BLOCKLIST",
-        "EMOGUIDE_SEEDS",
-        "EMOGUIDE_CORPUS",
-    ):
-        monkeypatch.delenv(name, raising=False)
 
 
 def test_defaults_are_fully_resolved():
@@ -134,13 +121,14 @@ def test_every_numeric_field_names_itself_when_rejected(path, literal):
     assert field in str(exc.value)
 
 
-def test_env_overrides_paths_only(monkeypatch):
+def test_environment_changes_no_path_or_hash(monkeypatch):
+    plain = default_run_config()
     monkeypatch.setenv("EMOGUIDE_CORPUS", "/elsewhere/corpus.jsonl")
+    monkeypatch.setenv("EMOGUIDE_LEXICON", "/elsewhere/lexicon.tsv")
     config = default_run_config()
-    assert config.path("corpus") == "/elsewhere/corpus.jsonl"
-    # and the hash reflects the override
-    monkeypatch.delenv("EMOGUIDE_CORPUS")
-    assert default_run_config().config_hash() != config.config_hash()
+    assert config.config_hash() == plain.config_hash()
+    assert config.path("corpus") is None
+    assert config.path("lexicon") == plain.path("lexicon")
 
 
 def test_builders_produce_validated_objects():

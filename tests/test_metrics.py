@@ -54,12 +54,6 @@ def test_peg_upper_bound_attained():
     assert peg_score(d, lex) == pytest.approx(1.5, abs=1e-12)
 
 
-def test_peg_custom_baseline():
-    lex = lex_of({"w": (0.6, 0.6, 0.6)})
-    d = dialog_of(("user", "w"), ("agent", "w"), ("user", "w"))
-    assert peg_score(d, lex, baseline=VadVector(0.6, 0.6, 0.6)) == pytest.approx(0.0, abs=1e-15)
-
-
 def test_peg_averages_over_last_half_users():
     lex = lex_of({"lo": (0.5, 0.5, 0.5), "hi": (0.9, 0.5, 0.5)})
     d = dialog_of(
@@ -287,17 +281,6 @@ def test_evaluate_run_distinct_covers_agent_side():
     assert report.distinct2 == 2 / 3  # (m,m) x2 and (m,wa); singletons add none
 
 
-def test_evaluate_run_bleu_modes():
-    lex = eval_lexicon()
-    d = dialog_of(("user", "s"), ("agent", "m"), ("user", "wa"), ("agent", "m"))
-    plain = evaluate_run([d], lex)
-    assert plain.bleu1 is None and plain.bleu2 is None
-    static = evaluate_run([d], lex, bleu_candidates=["a b"], bleu_references=["a b"])
-    assert static.bleu1 == 100.0 and static.bleu2 == 100.0
-    with pytest.raises(ValueError):
-        evaluate_run([d], lex, bleu_candidates=["a"])
-
-
 def test_evaluate_run_is_deterministic():
     lex = default_run_config().lexicon()
     dialogs = synthesize_corpus(SynthConfig(num_dialogs=25), seed=13)
@@ -315,8 +298,7 @@ def test_report_serialization_shape():
     data = json.loads(json.dumps(asdict(evaluate_run([d], lex))))  # as `emoguide eval` writes it
     expected_keys = {
         "n_dialogs", "skipped", "peg_score", "e_score", "pege_score",
-        "peg_std", "e_std", "pege_std", "distinct1", "distinct2",
-        "bleu1", "bleu2", "breakdown",
+        "peg_std", "e_std", "pege_std", "distinct1", "distinct2", "breakdown",
     }
     assert set(data) == expected_keys
     assert isinstance(data["breakdown"], list)

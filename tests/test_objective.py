@@ -21,7 +21,7 @@ from oracles import emotional_distance, ner_loss, peg_loss, softmax
 
 
 def matrix_from_rows(rows) -> VadMatrix:
-    return VadMatrix(values=np.array(rows, dtype=np.float64), listed=len(rows))
+    return VadMatrix(values=np.array(rows, dtype=np.float64))
 
 
 def random_case(rng, T=None, V=None):

@@ -1,9 +1,14 @@
 """The package holds what the pipeline runs.
 
-Every module-level function or class in ``src/emoguide`` is exported in
+Every module-level function or class in ``src/emoguide``, and every method or
+property of such a class other than the ``__dunder__`` ones, is exported in
 ``emoguide.__all__`` or referenced from outside its own definition: by the
 package, by the benchmark harness (``perfbench/``) or by ``scripts/``.  A
 definition that only tests use belongs with the tests (see ``oracles.py``).
+
+The check goes by name, not by type: a method escapes it while another
+definition of the same name is used, as ``VadMatrix.coverage`` did beside
+``VadLexicon.coverage``.
 """
 
 import ast
@@ -12,27 +17,40 @@ from pathlib import Path
 import emoguide
 
 ROOT = Path(__file__).resolve().parent.parent
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = (*FUNCTIONS, ast.ClassDef)
+
+
+def _names(node: ast.AST, strings: bool) -> set[str]:
+    """A name, an attribute, an imported name or, with ``strings``, a string
+    constant (the harness names what it wraps by string)."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name.rpartition(".")[2])
+        elif strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names.add(sub.value)
+    return names
 
 
 def _references(path: Path, strings: bool) -> set[str]:
-    """Names a file refers to, outside each module-level definition's own body.
-
-    A reference is a name, an attribute, an imported name or, with
-    ``strings``, a string constant (the harness names what it wraps by string).
-    """
+    """Names a file refers to, outside each module-level definition's own
+    body and each method's own body."""
     found = set()
     for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-        names = set()
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name.rpartition(".")[2])
-            elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-                names.add(node.value)
+        if isinstance(stmt, ast.ClassDef):
+            names = set()
+            for part in [*stmt.decorator_list, *stmt.bases, *stmt.keywords, *stmt.body]:
+                inner = _names(part, strings)
+                if isinstance(part, FUNCTIONS):
+                    inner.discard(part.name)
+                names |= inner
+        else:
+            names = _names(stmt, strings)
         if isinstance(stmt, DEFINITIONS):
             names.discard(stmt.name)
         found |= names
@@ -45,10 +63,17 @@ def test_every_package_definition_is_exported_or_used_outside_tests():
     for tree in ("perfbench", "scripts"):
         used |= set().union(*(_references(p, strings=True) for p in (ROOT / tree).glob("*.py")))
     used |= set(emoguide.__all__)
-    unused = [
-        f"{path.stem}.{stmt.name}"
-        for path in modules
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body
-        if isinstance(stmt, DEFINITIONS) and stmt.name not in used
-    ]
+    unused = []
+    for path in modules:
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, DEFINITIONS) and stmt.name not in used:
+                unused.append(f"{path.stem}.{stmt.name}")
+            if isinstance(stmt, ast.ClassDef):
+                unused += [
+                    f"{path.stem}.{stmt.name}.{node.name}"
+                    for node in stmt.body
+                    if isinstance(node, FUNCTIONS)
+                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                    and node.name not in used
+                ]
     assert not unused, f"defined in src/emoguide but used only by tests, or not at all: {unused}"
