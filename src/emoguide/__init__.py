@@ -7,117 +7,94 @@ utterance's affect early in a conversation and releases the pull as the
 dialog progresses, and a regularizer that suppresses negative-affect
 mass.  Around that objective sit a synthetic-corpus pipeline with rule
 based filtering, a two-model self-chat harness, and evaluation metrics.
+
+The exports load on first use (PEP 562): importing the package loads none
+of its modules, and so not numpy, which lets ``emoguide.cli`` choose BLAS's
+thread count before numpy first loads.
 """
 
-from .config import ConfigError, RunConfig, default_run_config, load_run_config
-from .corpus import (
-    Dialog,
-    FilterReport,
-    FilterRules,
-    RULE_NAMES,
-    SynthConfig,
-    TrainingExample,
-    Utterance,
-    filter_dialogs,
-    load_corpus,
-    prepare_training_examples,
-    prepare_user_side_examples,
-    save_corpus,
-    synthesize_corpus,
-)
-from .metrics import (
-    MetricsReport,
-    bleu,
-    distinct_n,
-    e_score,
-    evaluate_run,
-    pege_score,
-    peg_score,
-)
-from .model import (
-    DecodeConfig,
-    ModelConfig,
-    generate,
-    generate_batch,
-    init_model,
-    load_checkpoint,
-    model_checksum,
-    save_checkpoint,
-)
-from .objective import LossBreakdown, PegeConfig, dialog_progress, pege_loss
-from .polarity import ClassifierParams, PolarityClassifier, PolarityDistribution
-from .selfchat import SeedUtterance, SelfChatConfig, load_seed_utterances, self_chat
-from .train import TrainConfig, TrainingDivergedError, evaluate_nll, train
-from .vad import (
-    NEUTRAL_BASELINE,
-    VadLexicon,
-    VadMatrix,
-    VadVector,
-    align_vocab,
-    load_lexicon_file,
-    tokenize,
-    utterance_mean_vad,
-)
-from .vocab import Vocab, build_vocab
+import importlib
+import sys
+import types
+
+# each module's exported names
+_MODULE_EXPORTS = {
+    "config": ("ConfigError", "RunConfig", "default_run_config", "load_run_config"),
+    "corpus": (
+        "Dialog",
+        "FilterReport",
+        "FilterRules",
+        "RULE_NAMES",
+        "SynthConfig",
+        "TrainingExample",
+        "Utterance",
+        "filter_dialogs",
+        "load_corpus",
+        "prepare_training_examples",
+        "prepare_user_side_examples",
+        "save_corpus",
+        "synthesize_corpus",
+    ),
+    "metrics": (
+        "MetricsReport",
+        "bleu",
+        "distinct_n",
+        "e_score",
+        "evaluate_run",
+        "pege_score",
+        "peg_score",
+    ),
+    "model": (
+        "DecodeConfig",
+        "ModelConfig",
+        "generate",
+        "generate_batch",
+        "init_model",
+        "load_checkpoint",
+        "model_checksum",
+        "save_checkpoint",
+    ),
+    "objective": ("LossBreakdown", "PegeConfig", "dialog_progress", "pege_loss"),
+    "polarity": ("ClassifierParams", "PolarityClassifier", "PolarityDistribution"),
+    "selfchat": ("SeedUtterance", "SelfChatConfig", "load_seed_utterances", "self_chat"),
+    "train": ("TrainConfig", "TrainingDivergedError", "evaluate_nll", "train"),
+    "vad": (
+        "NEUTRAL_BASELINE",
+        "VadLexicon",
+        "VadMatrix",
+        "VadVector",
+        "align_vocab",
+        "load_lexicon_file",
+        "tokenize",
+        "utterance_mean_vad",
+    ),
+    "vocab": ("Vocab", "build_vocab"),
+}
+_MODULE = {name: module for module, names in _MODULE_EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClassifierParams",
-    "ConfigError",
-    "DecodeConfig",
-    "Dialog",
-    "FilterReport",
-    "FilterRules",
-    "LossBreakdown",
-    "MetricsReport",
-    "ModelConfig",
-    "NEUTRAL_BASELINE",
-    "PegeConfig",
-    "PolarityClassifier",
-    "PolarityDistribution",
-    "RULE_NAMES",
-    "RunConfig",
-    "SeedUtterance",
-    "SelfChatConfig",
-    "SynthConfig",
-    "TrainConfig",
-    "TrainingDivergedError",
-    "TrainingExample",
-    "Utterance",
-    "VadLexicon",
-    "VadMatrix",
-    "VadVector",
-    "Vocab",
-    "align_vocab",
-    "bleu",
-    "build_vocab",
-    "default_run_config",
-    "dialog_progress",
-    "distinct_n",
-    "e_score",
-    "evaluate_nll",
-    "evaluate_run",
-    "filter_dialogs",
-    "generate",
-    "generate_batch",
-    "init_model",
-    "load_checkpoint",
-    "load_corpus",
-    "load_lexicon_file",
-    "load_run_config",
-    "load_seed_utterances",
-    "model_checksum",
-    "peg_score",
-    "pege_loss",
-    "pege_score",
-    "prepare_training_examples",
-    "prepare_user_side_examples",
-    "save_checkpoint",
-    "save_corpus",
-    "self_chat",
-    "synthesize_corpus",
-    "tokenize",
-    "train",
-    "utterance_mean_vad",
-]
+__all__ = sorted(_MODULE)
+
+
+def __getattr__(name: str):
+    """An export, imported from its module on first use."""
+    if name not in _MODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+class _Package(types.ModuleType):
+    """The package's module type: an exported name stays the export when a
+    submodule of the same name loads (the ``train`` function, not the
+    ``emoguide.train`` module), as it was when the package imported every
+    export at once."""
+
+    def __setattr__(self, name, value):
+        if not (name in _MODULE and isinstance(value, types.ModuleType)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

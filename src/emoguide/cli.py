@@ -23,8 +23,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
+
+# BLAS reads its thread count once, when numpy first loads.  Unless the user
+# set one of these, every command runs BLAS on one thread, so that its output
+# files do not depend on the host's core count (README, Determinism).
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if not any(var in os.environ for var in BLAS_THREAD_VARIABLES):
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARIABLES, "1"))
 
 import numpy as np
 

@@ -4,10 +4,10 @@ One (configurably stacked) GRU layer over token embeddings with a linear
 readout to vocabulary logits.  Everything is plain numpy with hand-written
 forward/backward passes; parameters are float32 by default (pass
 ``dtype=np.float64`` at init for gradient-checking).  Identical seeds give
-bit-identical parameters.  Training and decoding share one layer loop and
-one GRU cell: z and r take one recurrent GEMM and one in-place tanh-form
-sigmoid, and the gates are joined only while the model runs, so parameters
-and checkpoints stay per gate.
+bit-identical parameters.  Training and decoding share one GRU cell: z and
+r take one recurrent GEMM and one in-place tanh-form sigmoid, and the gates
+are joined only while the model runs, so parameters and checkpoints stay
+per gate.
 
 A batch of streams runs packed (``pack``): sorted longest first and laid out
 time-major, the rows of step t are the streams still running at t, so the
@@ -19,18 +19,20 @@ only on the tokens before it, so training runs the examples of a dialog
 whose streams nest as one stream, with each example's response rows read
 out of it.
 
-Decoding runs the same packed forward pass: ``_decode`` feeds every stream
-from its given states as one packed batch, then takes one batched step per
-token over the replies still running, and returns each stream's states after
-its reply.  ``generate_batch`` checks its contexts and decodes them from
-zeros; ``generate`` is its one-context call.  Self-chat calls ``_decode``
-itself, to feed each model only the tokens added since its last reply.  A
-decode step is one token per stream, already in packed order, so it runs its
-rows as given, and the state arrays hold only the running replies: a row
-leaves them when its reply emits <eou>.  Every GEMM of a decode call runs on
-at least two rows, so on a BLAS that gives a row the same bits at any row
-count M >= 2 (see ``_feed``), a reply's bits do not depend on the batch that
-decoded it.
+Decoding feeds every stream from its given states as one packed forward
+pass (``_feed``), then takes one step per token over the replies still
+running (``_step``), and returns each stream's states after its reply.  A
+step runs one token per running reply, in the order the replies are
+carried, straight through the layer loop and the GRU cell: it packs nothing
+and keeps nothing for backward().  The state arrays hold only the running
+replies: a row leaves them when its reply emits <eou>.  Greedy decoding
+masks the bans in the fresh logits and takes their argmax; top-k sampling
+(``_choose``) draws in float64.  ``generate_batch`` checks its contexts and
+decodes them from zeros; ``generate`` is its one-context call.  Self-chat
+calls ``_decode`` itself, to feed each model only the tokens added since its
+last reply.  Every GEMM of a decode call runs on at least two rows, so on a
+BLAS that gives a row the same bits at any row count M >= 2 (see
+``_feed``), a reply's bits do not depend on the batch that decoded it.
 
 Every pass runs from the model's joined weights (``_join_weights``): each
 layer's gate weights, and layer 0's input projections of every vocabulary
@@ -194,19 +196,18 @@ def pack(streams: Sequence[np.ndarray], spans: Sequence[tuple[int, int, int]]):
     Returns (ids, batch_sizes, readout): the packed ids, n_t for every step,
     and the packed rows of the wanted positions, span by span.
     """
-    lengths = np.array([len(s) for s in streams])
-    if lengths.size == 0 or lengths[-1] < 1 or np.any(lengths[1:] > lengths[:-1]):
+    lengths = [len(s) for s in streams]
+    if not lengths or lengths[-1] < 1 or any(a < b for a, b in zip(lengths, lengths[1:])):
         raise ValueError("streams must be nonempty and sorted longest first")
     for i, lo, hi in spans:
         if not (0 <= i < len(streams) and 0 <= lo <= hi <= lengths[i]):
             raise ValueError(f"span ({i}, {lo}, {hi}) is not a range of a stream")
-    active = np.arange(lengths[0])[:, None] < lengths  # (L, B): stream i runs at step t
+    active = np.arange(lengths[0])[:, None] < np.array(lengths)  # (L, B): stream i runs at step t
     grid = np.zeros(active.shape, dtype=np.int64)
-    for i, stream in enumerate(streams):
-        grid[: len(stream), i] = stream
+    grid.T[active.T] = np.concatenate(streams)  # stream by stream
     batch_sizes = active.sum(axis=1)
-    starts = np.cumsum(batch_sizes) - batch_sizes  # first row of each step
-    readout = np.concatenate([starts[lo:hi] + i for i, lo, hi in spans])
+    starts = list(itertools.accumulate(batch_sizes.tolist(), initial=0))  # first row of each step
+    readout = np.array([starts[t] + i for i, lo, hi in spans for t in range(lo, hi)], dtype=np.int64)
     return grid[active], batch_sizes, readout
 
 
@@ -368,24 +369,17 @@ def _feed(model: Model, weights: _Weights, streams: Sequence[Sequence[int]], h0:
 
     ``h0`` holds each layer's (B, H) initial states, in stream order.
     Returns the logits after each stream's last token and each layer's states
-    there, both in stream order.  A decode step (one token per stream) is
-    already in packed order, so it runs as given; longer streams are sorted
-    longest first and packed.  Every GEMM runs on at least 2 rows: a 1-row
-    float32 GEMM takes BLAS's GEMV path, whose bits differ, so a stream that
-    would run a step alone runs twice.  Each row's bits then do not depend on
-    which other streams share the batch, provided the BLAS gives a row of an
-    M-row GEMM the same bits for every M >= 2.  That was checked on OpenBLAS
-    0.3.31 (Haswell kernels, 1 thread), not reasoned out: a BLAS that picks
-    its kernel by M (small-matrix kernels, MKL) may break it, and
+    there, both in stream order.  The streams are sorted longest first and
+    packed once.  Every GEMM runs on at least 2 rows: a 1-row float32 GEMM
+    takes BLAS's GEMV path, whose bits differ, so a stream that would run a
+    step alone runs twice.  Each row's bits then do not depend on which other
+    streams share the batch, provided the BLAS gives a row of an M-row GEMM
+    the same bits for every M >= 2.  That was checked on OpenBLAS 0.3.31
+    (Haswell kernels, 1 thread), not reasoned out: a BLAS that picks its
+    kernel by M (small-matrix kernels, MKL) may break it, and
     ``tests/test_model.py`` checks it on the BLAS in use.
     """
     n = len(streams)
-    if all(len(s) == 1 for s in streams):  # a decode step: one row per stream
-        rows = [0, 0] if n == 1 else slice(None)
-        ids, h0 = np.ravel(streams)[rows], [h[rows] for h in h0]
-        size = len(ids)
-        logits, cache = _forward_cached(model, ids, np.array([size]), np.arange(size), h0, weights)
-        return logits[-n:], [layer["h"][-n:] for layer in cache["layers"]]
     order = sorted(range(n), key=lambda i: -len(streams[i]))  # stable
     pad = int(n == 1 or len(streams[order[0]]) > len(streams[order[1]]))
     order = order[:1] * pad + order
@@ -397,17 +391,33 @@ def _feed(model: Model, weights: _Weights, streams: Sequence[Sequence[int]], h0:
     return logits[back], [layer["h"][last[back]] for layer in cache["layers"]]
 
 
+def _step(model: Model, weights: _Weights, ids: np.ndarray, hs: list):
+    """One decode step: token ``ids[i]`` fed from each layer's states ``hs[l][i]``.
+
+    The rows run as given, straight through the layer loop and the GRU cell,
+    with none of the packed pass's bookkeeping.  Returns the logits and each
+    layer's states after the step.  A lone row runs twice, as in ``_feed``,
+    so that every GEMM runs on at least 2 rows.
+    """
+    n = len(ids)
+    if n == 1:
+        ids, hs = ids[[0, 0]], [h[[0, 0]] for h in hs]
+    zr, c = weights.zr0[ids], weights.c0[ids]
+    out = []
+    for layer, (w_zr, b_zr, w_c, b_c, u_zr, u_c) in enumerate(weights.layers):
+        if layer:
+            zr, c = x @ w_zr + b_zr, x @ w_c + b_c
+        x = _gru_cell(zr, c, hs[layer], u_zr, u_c)
+        out.append(x[-n:])
+    return (x @ model.params["out_w"] + model.params["out_b"])[-n:], out
+
+
 def _choose(logits: np.ndarray, decode: DecodeConfig, banned: np.ndarray, rngs) -> np.ndarray:
-    """Each row's next token: the greedy choice, or a top-k sample drawn with
-    that row's generator.  ``banned`` ids are never chosen.  Greedy masks and
-    takes the argmax in the logits' dtype: widening float32 to float64 is
-    exact, so the choice and its tie-breaking would be the same."""
-    masked = logits.astype(np.float64 if decode.mode == "top_k" else logits.dtype)
-    masked[:, banned] = -np.inf
-    if decode.mode == "greedy":
-        return masked.argmax(axis=1)
+    """Each row's next top-k token, drawn with that row's generator, in float64;
+    ``banned`` ids are never chosen."""
     choices = []
-    for row, rng in zip(masked, rngs):
+    for row, rng in zip(logits.astype(np.float64), rngs):
+        row[banned] = -np.inf
         k = min(decode.k, int(np.sum(np.isfinite(row))))
         top = np.argpartition(row, -k)[-k:]
         top = top[np.argsort(row[top])[::-1]]  # deterministic order
@@ -503,19 +513,26 @@ def _decode(
     outs: list[list[int]] = [[] for _ in suffixes]
     final = [np.empty_like(h) for h in hs]  # each row's states once its reply ends
     live = np.arange(len(suffixes))  # the replies still running; rows of logits and hs
+    rows = live.tolist()
     for step in range(decode.max_tokens):
         banned = decoder.first_ban if step == 0 else decoder.ban
-        choices = _choose(logits, decode, banned, [rngs[i] for i in live])
-        if eou_id is not None and eou_id in choices:
+        if decode.mode == "greedy":  # logits are fresh each step, so mask them in place
+            logits[:, banned] = -np.inf
+            choices = logits.argmax(axis=1)
+        else:
+            choices = _choose(logits, decode, banned, [rngs[i] for i in rows])
+        tokens = choices.tolist()
+        if eou_id in tokens:
             going = choices != eou_id
             for f, h in zip(final, hs):
                 f[live[~going]] = h[~going]
             live, choices, hs = live[going], choices[going], [h[going] for h in hs]
-        if not live.size:
-            break
-        for i, token in zip(live.tolist(), choices.tolist()):
+            if not live.size:
+                break
+            rows, tokens = live.tolist(), choices.tolist()
+        for i, token in zip(rows, tokens):
             outs[i].append(token)
-        logits, hs = _feed(model, weights, choices[:, None], hs)
+        logits, hs = _step(model, weights, choices, hs)
     for f, h in zip(final, hs):
         f[live] = h
     return outs, final
@@ -594,7 +611,8 @@ def _read_header(fh, path) -> dict:
 
 
 def load_checkpoint(path) -> Model:
-    """Read a checkpoint; any malformed or inconsistent file raises ValueError."""
+    """Read a checkpoint; any malformed or inconsistent file, or a parameter
+    that holds a NaN or an infinity, raises ValueError."""
     with open(path, "rb") as fh:
         header = _read_header(fh, path)
         try:
@@ -609,14 +627,23 @@ def load_checkpoint(path) -> Model:
         if header.get("params") != _manifest(config):
             raise ValueError(f"{path}: checkpoint parameter manifest does not match its config")
         shapes = _param_shapes(config)
-        expected = 4 * sum(math.prod(shape) for shape in shapes.values())
+        ends = list(itertools.accumulate(math.prod(shape) for shape in shapes.values()))
+        expected = 4 * ends[-1]
         actual = os.fstat(fh.fileno()).st_size - fh.tell()
         if actual != expected:
             raise ValueError(f"{path}: {actual} parameter bytes, the manifest needs {expected}")
-        params = {
-            name: np.frombuffer(fh.read(4 * math.prod(shape)), dtype="<f4").reshape(shape).copy()
-            for name, shape in shapes.items()
-        }
+        flat = np.empty(ends[-1], dtype="<f4")  # every parameter, read once
+        if fh.readinto(flat) != expected:
+            raise ValueError(f"{path}: checkpoint shrank while being read")
+    finite = np.isfinite(flat)
+    if not finite.all():
+        first = np.argmin(finite)
+        name = next(name for name, end in zip(shapes, ends) if first < end)
+        raise ValueError(f"{path}: parameter {name} holds a value that is not finite")
+    params = {
+        name: flat[end - math.prod(shape) : end].reshape(shape)
+        for (name, shape), end in zip(shapes.items(), ends)
+    }
     vocab = Vocab(tokens=tuple(tokens)) if tokens else None
     return Model(config=config, params=params, step_count=step_count, vocab=vocab)
 

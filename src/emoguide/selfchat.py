@@ -6,15 +6,18 @@ and kept in front of the agent's (and user's) context for every turn, the
 same conditioning the models saw in training.  Turns then alternate
 agent/user until 2*turns utterances exist, the seed included.
 
-Each dialog keeps, per model, how many of its context ids that model has
-fed and the model's hidden states after them.  While ``assemble_stream``
-drops no segment, a context extends the model's last one by its reply, so
-the reply feeds only the new ids from the kept states.  A model's first
-reply, and every reply once the window has dropped a segment (it then drops
-one on every later reply), feeds its whole context from zeros.  No prefix
-is compared and no id is re-checked: every id comes from the vocabulary or
-from a model that decodes over it, and ``_prepare_speakers`` checks once
-that both models' vocabularies have their ``vocab_size`` tokens.
+Each dialog keeps its whole stream (prefix, then every segment) as one id
+list, and per model how many of those ids the model has fed and its hidden
+states after them.  While the stream and the speaker's marker fit the
+speaker's window, a context extends the model's last one by its reply, so
+the reply feeds only the new ids, sliced from the list, from the kept
+states.  A model's first reply feeds its whole context from zeros, and so
+does every reply once the context outgrows the window: only then is it
+built by ``assemble_stream``, which drops segments (and it then drops some
+on every later reply).  No prefix is compared and no id is re-checked:
+every id comes from the vocabulary or from a model that decodes over it,
+and ``_prepare_speakers`` checks once that both models' vocabularies have
+their ``vocab_size`` tokens.
 
 The dialogs of a call run in lockstep: at each position, one decode call
 (``model._decode``) decodes every dialog's reply, one batched GRU step per
@@ -97,10 +100,16 @@ def _run_dialog(
     seed: SeedUtterance,
 ):
     """One dialog, played reply by reply.  Before each reply it yields the
-    speaker, the speaker's context, how many leading ids of it the speaker's
-    model has already fed (0: none, feed it all from zeros) and the reply's
-    rng (None when greedy), and is sent the reply's ids; after the last
-    reply it yields the Dialog."""
+    speaker, the ids of the speaker's context that its model has not fed yet,
+    whether to feed them from zeros, and the reply's rng (None when greedy),
+    and is sent the reply's ids; after the last reply it yields the Dialog.
+
+    The dialog keeps its whole stream (prefix, then every segment) as one id
+    list, and each model's count of the ids it has fed.  While the stream and
+    the speaker's marker fit the speaker's window, the context is that list
+    and the marker, and the new ids are sliced from it.  Once they do not,
+    ``assemble_stream`` drops segments and the context is fed whole from zeros.
+    """
     opener = tuple(tokenize(seed.text))
     prefix = encode_emotion_prefix(classifier(opener))
     eou_id = vocab.id(EOU)
@@ -108,23 +117,24 @@ def _run_dialog(
 
     utterances = [Utterance(USER, " ".join(opener))]
     segments = [[marker[USER], *vocab.encode(opener), eou_id]]
-    whole = len(prefix) + len(segments[0]) + 1  # the context's length if no segment is dropped
+    stream = [*vocab.encode(prefix), *segments[0]]
     fed = {AGENT: 0, USER: 0}  # each model's fed ids: its last context and reply
     for position in range(1, 2 * config.turns):
         speaker = AGENT if position % 2 == 1 else USER
-        context = assemble_stream(prefix, segments, vocab, windows[speaker], tail=[marker[speaker]])
         rng = None
         if config.decode.mode != "greedy":
             rng = np.random.default_rng(
                 np.random.SeedSequence([config.rng_seed, index, position])
             )
-        start = fed[speaker] if len(context) == whole else 0  # 0 once the window drops a segment
-        ids = yield speaker, context, start, rng
-        fed[speaker] = len(context) + len(ids)
-        words = [vocab.tokens[t] for t in ids]
-        utterances.append(Utterance(speaker, " ".join(words)))
-        segments.append([marker[speaker], *ids, eou_id])
-        whole += len(segments[-1])
+        window, tail = windows[speaker], [marker[speaker]]
+        if len(stream) < window:
+            ids = yield speaker, stream[fed[speaker] :] + tail, not fed[speaker], rng
+        else:  # the window drops a segment, on this reply and every later one
+            ids = yield speaker, assemble_stream(prefix, segments, vocab, window, tail), True, rng
+        fed[speaker] = len(stream) + 1 + len(ids)
+        utterances.append(Utterance(speaker, " ".join([vocab.tokens[t] for t in ids])))
+        segments.append([*tail, *ids, eou_id])
+        stream += segments[-1]
     yield Dialog(
         source_id=f"selfchat-{index:04d}-{seed.polarity}",
         utterances=tuple(utterances),
@@ -148,11 +158,11 @@ def _chat(
     dialogs = [_run_dialog(vocab, windows, config, classifier, i, seed) for i, seed in items]
     turns = [next(dialog) for dialog in dialogs]
     for _ in range(1, 2 * config.turns):
-        speaker = turns[0][0]  # every dialog is at the same position
-        suffixes = [context[start:] for _, context, start, _ in turns]
-        fresh = np.array([start == 0 for _, _, start, _ in turns])[:, None]
-        h0 = [np.where(fresh, 0, h) for h in states[speaker]]
-        rngs = [rng for *_, rng in turns]
+        speakers, suffixes, fresh, rngs = zip(*turns)
+        speaker = speakers[0]  # every dialog is at the same position
+        h0 = states[speaker]
+        if any(fresh):
+            h0 = [np.where(np.array(fresh)[:, None], 0, h) for h in h0]
         replies, states[speaker] = _decode(decoders[speaker], suffixes, h0, config.decode, rngs)
         turns = [dialog.send(ids) for dialog, ids in zip(dialogs, replies)]
     return turns

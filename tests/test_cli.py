@@ -2,11 +2,13 @@
 
 import io
 import json
+import os
 import struct
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emoguide import objective
-from emoguide.cli import main
+from emoguide.cli import BLAS_THREAD_VARIABLES, main
 from emoguide.corpus import load_corpus, read_jsonl
 from emoguide.model import CKPT_MAGIC, _read_header, load_checkpoint
 from emoguide.resources import LEXICON_FILE, data_path
@@ -559,6 +561,23 @@ def _edit_header(data: bytes, edit) -> bytes:
     return CKPT_MAGIC + struct.pack("<I", len(blob)) + blob + data[start + length :]
 
 
+def _fill_param(data: bytes, name: str, value: float) -> bytes:
+    """Set every value of the parameter ``name`` to ``value``."""
+    start = len(CKPT_MAGIC) + 4
+    (length,) = struct.unpack("<I", data[len(CKPT_MAGIC) : start])
+    offset = start + length
+    for spec in json.loads(data[start:offset])["params"]:
+        size = int(np.prod(spec["shape"]))
+        if spec["name"] == name:
+            filled = np.full(size, value, dtype="<f4").tobytes()
+            return data[:offset] + filled + data[offset + 4 * size :]
+        offset += 4 * size
+    raise KeyError(name)
+
+
+# a case -> the parameter it fills with a value that is not finite
+NON_FINITE = {"nan_out_w": ("out_w", np.nan), "inf_l0_u_c": ("l0.u_c", -np.inf)}
+
 CORRUPT_CHECKPOINTS = {
     "truncated_length_field": lambda data: data[: len(CKPT_MAGIC) + 2],
     "no_step_count": lambda data: _edit_header(data, lambda h: h.pop("step_count")),
@@ -567,6 +586,10 @@ CORRUPT_CHECKPOINTS = {
         data, lambda h: h["params"][0].pop("shape")
     ),
     "trailing_bytes": lambda data: data + b"\0",
+    **{
+        case: lambda data, fill=fill: _fill_param(data, *fill)
+        for case, fill in NON_FINITE.items()
+    },
 }
 
 
@@ -578,6 +601,8 @@ def test_corrupt_checkpoint_exits_1_with_one_line(workdir, tmp_path, capsys, cas
     assert main(["selfchat", str(bad), str(user), str(config), "-o", str(tmp_path / "d")]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {bad}: "), err
+    if case in NON_FINITE:  # the line names the parameter
+        assert f"parameter {NON_FINITE[case][0]} " in err, err
 
 
 def test_selfchat_vocab_mismatch_exits_1(workdir, tmp_path, capsys):
@@ -602,6 +627,27 @@ def test_selfchat_vocab_mismatch_exits_1(workdir, tmp_path, capsys):
         pytest.skip("vocabularies happened to coincide")
     assert rc == 1
     assert "vocab" in capsys.readouterr().err
+
+
+def test_train_files_do_not_depend_on_the_blas_thread_variables(tmp_path):
+    """Left unset, the thread variables default to one BLAS thread, so a
+    checkpoint and its log are the same bytes on a host with more cores.  The
+    default model sizes make the training GEMMs large enough for OpenBLAS to
+    split them over threads; on a one-core host the two runs agree anyway."""
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"seed": 3, "synth": {"num_dialogs": 40}, "train": {"max_steps": 4}}))
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["synth", str(config), "-o", str(corpus)]) == 0
+    src = Path(objective.__file__).parents[1]  # the directory that holds the package under test
+    files = []
+    for name, threads in (("unset", {}), ("one", dict.fromkeys(BLAS_THREAD_VARIABLES, "1"))):
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+        env.update(threads, PYTHONPATH=str(src))
+        out, log = tmp_path / f"{name}.ckpt", tmp_path / f"{name}.jsonl"
+        command = ["train", str(config), "--corpus", str(corpus), "-o", str(out), "--log", str(log)]
+        subprocess.run([sys.executable, "-m", "emoguide.cli", *command], env=env, check=True, capture_output=True)
+        files.append((out.read_bytes(), log.read_bytes()))
+    assert files[0] == files[1]
 
 
 def test_module_entry_point_help():

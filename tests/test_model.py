@@ -14,11 +14,11 @@ from emoguide.model import (
     ModelConfig,
     backward,
     _check_ids,
-    _choose,
     _feed,
     _forward_cached,
     _scatter_rows,
     _sigmoid,
+    _step,
     generate,
     generate_batch,
     init_model,
@@ -300,7 +300,7 @@ def test_decode_step_logits_match_forward_at_every_position(dtype, rtol, atol):
     hs = [np.zeros((1, TINY.hidden_dim), dtype=dtype) for _ in weights.layers]
     stepped = []
     for token in ids.tolist():
-        logits, hs = _feed(m, weights, [[token]], hs)
+        logits, hs = _step(m, weights, np.array([token]), hs)
         stepped.append(logits[0])
     stepped = np.stack(stepped)
     assert stepped.dtype == full.dtype == dtype
@@ -430,15 +430,21 @@ def test_generate_contracts():
 
 
 def _count_streams(monkeypatch) -> list[list[list[int]]]:
-    """Record the streams of every ``_feed`` call from here on."""
+    """Record the streams fed by every ``_feed`` and ``_step`` call from here
+    on; a step feeds one id per stream."""
     calls = []
 
-    def counting(model, weights, streams, h0):
+    def counting_feed(model, weights, streams, h0):
         calls.append([list(stream) for stream in streams])
         return feed(model, weights, streams, h0)
 
-    feed = model_mod._feed
-    monkeypatch.setattr(model_mod, "_feed", counting)
+    def counting_step(model, weights, ids, hs):
+        calls.append([[token] for token in ids.tolist()])
+        return step(model, weights, ids, hs)
+
+    feed, step = model_mod._feed, model_mod._step
+    monkeypatch.setattr(model_mod, "_feed", counting_feed)
+    monkeypatch.setattr(model_mod, "_step", counting_step)
     return calls
 
 
@@ -571,6 +577,8 @@ def test_bans_outside_the_vocabulary_or_of_every_id_raise(monkeypatch, mode, ban
 
 
 def test_greedy_choice_in_float32_equals_float64_masked_argmax():
+    # a model with out_w = 0 gives out_b as the logits after every context,
+    # so each row below is the logits of a one-token greedy reply
     rng = np.random.default_rng(4)
     logits = rng.normal(size=(40, 9)).astype(np.float32)
     logits[:10] = np.round(logits[:10])  # many ties, the first one wins
@@ -580,15 +588,20 @@ def test_greedy_choice_in_float32_equals_float64_masked_argmax():
     logits[19, 1] = -np.inf
     top = np.float32(30.0)  # one float32 ulp apart: a narrower dtype would tie them
     logits[20:25, 3], logits[20:25, 7] = top, np.nextafter(top, np.float32(np.inf))
-    greedy = DecodeConfig()
+    m = init_model(ModelConfig(vocab_size=9, embed_dim=4, hidden_dim=5), seed=4)
+    m.params["out_w"][:] = 0.0
+    greedy = DecodeConfig(max_tokens=1)
     for banned in ([], [2], [2, 3], [0, 1, 6], list(range(8))):
         masked = logits.astype(np.float64)
         masked[:, banned] = -np.inf
-        want = masked.argmax(axis=1)
-        got = _choose(logits, greedy, banned, [None] * len(logits))
-        assert np.array_equal(got, want), banned
-        assert np.array_equal(_choose(logits.astype(np.float64), greedy, banned, []), want)
-        assert not np.isin(got, banned).any()
+        want = masked.argmax(axis=1).tolist()
+        for dtype in (np.float32, np.float64):
+            got = []
+            for row in logits:
+                m.params["out_b"] = row.copy()
+                got += generate(m.astype(dtype), [1, 2], greedy, forbidden_ids=banned)
+            assert got == want, (banned, dtype)
+        assert not set(want) & set(banned)
 
 
 def test_every_step_runs_two_rows_when_one_reply_is_left(monkeypatch):
@@ -597,24 +610,29 @@ def test_every_step_runs_two_rows_when_one_reply_is_left(monkeypatch):
     contexts = [[1, 2], [5], [2, 4, 6], [6, 2, 2], [4, 4], [1]]
     rngs = lambda: [np.random.default_rng([2, i]) for i in range(len(contexts))]
     alone = [generate(m, c, decode, eou_id=3, rng=r) for c, r in zip(contexts, rngs())]
-    streams_fed, rows_run = [], []
+    stepped, rows_run = [], []
 
-    def feed(model, weights, streams, h0):
-        streams_fed.append(len(streams))
-        return feed_(model, weights, streams, h0)
+    def step(model, weights, ids, hs):
+        stepped.append(len(ids))
+        return step_(model, weights, ids, hs)
+
+    def gru_cell(zr, c, h_prev, u_zr, u_c):
+        rows_run.append(len(h_prev))  # the rows of the recurrent GEMMs, and of every
+        return gru_cell_(zr, c, h_prev, u_zr, u_c)  # GEMM a step runs on its states
 
     def forward_cached(model, ids, batch_sizes, readout, h0=None, weights=None):
-        rows_run.extend([*batch_sizes.tolist(), len(readout)])
+        rows_run.append(len(readout))  # the rows of a packed pass's readout GEMM
         return forward_cached_(model, ids, batch_sizes, readout, h0, weights)
 
-    feed_, forward_cached_ = model_mod._feed, model_mod._forward_cached
-    monkeypatch.setattr(model_mod, "_feed", feed)
+    step_, gru_cell_, forward_cached_ = model_mod._step, model_mod._gru_cell, model_mod._forward_cached
+    monkeypatch.setattr(model_mod, "_step", step)
+    monkeypatch.setattr(model_mod, "_gru_cell", gru_cell)
     monkeypatch.setattr(model_mod, "_forward_cached", forward_cached)
     outs = generate_batch(m, contexts, decode, eou_id=3, rngs=rngs())
     monkeypatch.undo()
     assert outs == alone
     # the replies ended at different steps, down to one left running
-    assert streams_fed[1] == len(contexts) and 1 in streams_fed
+    assert stepped[0] == len(contexts) and 1 in stepped
     assert min(rows_run) >= 2
 
 

@@ -1,7 +1,8 @@
 """The package holds what the pipeline runs.
 
 Every module-level function or class in ``src/emoguide``, and every method or
-property of such a class other than the ``__dunder__`` ones, is exported in
+property of such a class, other than the ``__dunder__`` ones the interpreter
+calls (a method, or a module's PEP 562 ``__getattr__``), is exported in
 ``emoguide.__all__`` or referenced from outside its own definition: by the
 package, by the benchmark harness (``perfbench/``) or by ``scripts/``.  A
 definition that only tests use belongs with the tests (see ``oracles.py``).
@@ -19,6 +20,10 @@ import emoguide
 ROOT = Path(__file__).resolve().parent.parent
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 DEFINITIONS = (*FUNCTIONS, ast.ClassDef)
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
 
 
 def _names(node: ast.AST, strings: bool) -> set[str]:
@@ -66,14 +71,14 @@ def test_every_package_definition_is_exported_or_used_outside_tests():
     unused = []
     for path in modules:
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(stmt, DEFINITIONS) and stmt.name not in used:
+            if isinstance(stmt, DEFINITIONS) and stmt.name not in used and not _dunder(stmt.name):
                 unused.append(f"{path.stem}.{stmt.name}")
             if isinstance(stmt, ast.ClassDef):
                 unused += [
                     f"{path.stem}.{stmt.name}.{node.name}"
                     for node in stmt.body
                     if isinstance(node, FUNCTIONS)
-                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                    and not _dunder(node.name)
                     and node.name not in used
                 ]
     assert not unused, f"defined in src/emoguide but used only by tests, or not at all: {unused}"

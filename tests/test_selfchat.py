@@ -7,7 +7,7 @@ import pytest
 
 import emoguide.model as model_mod
 from emoguide import selfchat
-from emoguide.corpus import bank_words
+from emoguide.corpus import Dialog, Utterance, bank_words
 from emoguide.model import DecodeConfig, ModelConfig, _feed, _join_weights, generate_batch, init_model
 from emoguide.polarity import ClassifierParams, PolarityClassifier
 from emoguide.config import default_run_config
@@ -18,7 +18,18 @@ from emoguide.selfchat import (
     load_seed_utterances,
     self_chat,
 )
-from emoguide.vocab import AGENT, EOU, USER, assemble_stream, build_vocab
+from emoguide.vad import tokenize
+from emoguide.vocab import (
+    AGENT,
+    AGT,
+    EOU,
+    USER,
+    USR,
+    assemble_stream,
+    build_vocab,
+    encode_emotion_prefix,
+    utterance_segment,
+)
 
 
 @pytest.fixture(scope="module")
@@ -151,21 +162,47 @@ def test_threads_do_not_change_results(models, classifier):
         assert self_chat(agent, user, config, classifier, threads=threads) == single
 
 
+def _context(dialog, vocab, classifier, window, position):
+    """The context self-chat assembles before ``position``'s reply in
+    ``dialog``, and whether the window dropped segments from it."""
+    prefix = encode_emotion_prefix(classifier(dialog.utterances[0].tokens))
+    segments = [utterance_segment(u.speaker, u.tokens, vocab) for u in dialog.utterances[:position]]
+    tail = [vocab.id(AGT if position % 2 else USR)]
+    context = assemble_stream(prefix, segments, vocab, window, tail)
+    return context, len(context) < 2 + sum(map(len, segments)) + 1
+
+
 def _from_scratch(agent, user, config, classifier):
-    """Self-chat as ``_run_dialog`` plays it, every reply decoded from zeros
-    over its whole context by the public ``generate_batch``."""
+    """Self-chat re-played by the public ``assemble_stream`` and
+    ``generate_batch``: every reply decoded from zeros over its whole context,
+    with the seeded rng of its (dialog, position) pair."""
     models, vocab = {AGENT: agent, USER: user}, agent.vocab
-    windows = {speaker: m.config.context_window for speaker, m in models.items()}
     bans = dict(eou_id=vocab.id(EOU), forbidden_ids=sorted(vocab.structural_ids))
-    items = enumerate(config.seeds)
-    dialogs = [selfchat._run_dialog(vocab, windows, config, classifier, i, seed) for i, seed in items]
-    turns = [next(dialog) for dialog in dialogs]
-    for _ in range(1, 2 * config.turns):
-        speaker, contexts = turns[0][0], [context for _, context, _, _ in turns]
-        rngs = [rng for *_, rng in turns]
+    openers = [tuple(tokenize(seed.text)) for seed in config.seeds]
+    prefixes = [encode_emotion_prefix(classifier(opener)) for opener in openers]
+    segments = [[utterance_segment(USER, opener, vocab)] for opener in openers]
+    texts = [[" ".join(opener)] for opener in openers]
+    for position in range(1, 2 * config.turns):
+        speaker, marker = (AGENT, AGT) if position % 2 else (USER, USR)
+        window = models[speaker].config.context_window
+        contexts = [
+            assemble_stream(prefix, segs, vocab, window, tail=[vocab.id(marker)])
+            for prefix, segs in zip(prefixes, segments)
+        ]
+        sequences = [np.random.SeedSequence([config.rng_seed, i, position]) for i in range(len(contexts))]
+        rngs = [np.random.default_rng(sequence) for sequence in sequences]
         replies = generate_batch(models[speaker], contexts, config.decode, rngs=rngs, **bans)
-        turns = [dialog.send(ids) for dialog, ids in zip(dialogs, replies)]
-    return turns
+        for segs, said, reply in zip(segments, texts, replies):
+            words = [vocab.tokens[t] for t in reply]
+            segs.append(utterance_segment(speaker, words, vocab))
+            said.append(" ".join(words))
+    return [
+        Dialog(
+            f"selfchat-{i:04d}-{seed.polarity}",
+            tuple(Utterance(AGENT if k % 2 else USER, text) for k, text in enumerate(said)),
+        )
+        for i, (seed, said) in enumerate(zip(config.seeds, texts))
+    ]
 
 
 def _with_window(models, window):
@@ -186,16 +223,30 @@ def _truncated(dialog, window):
     return 2 + sum(len(u.tokens) + 2 for u in dialog.utterances[:-1]) + 1 > window
 
 
+# (agent, user) fields over the ``models`` fixture's sizes: one layer of one
+# size, two layers, and two sizes
+SHAPES = {
+    "one_layer": ({}, {}),
+    "two_layers": ({"num_layers": 2}, {"num_layers": 2}),
+    "two_sizes": ({"hidden_dim": 20}, {"embed_dim": 6, "hidden_dim": 9}),
+}
+
+
 @pytest.mark.parametrize("window", [128, 40])
 @pytest.mark.parametrize(
     "decode", [DecodeConfig(), DecodeConfig(mode="top_k", k=4)], ids=["greedy", "top_k"]
 )
-def test_carried_decode_state_keeps_transcripts(models, classifier, window, decode):
-    agent, user = _with_window(models, window)
+def test_carried_decode_state_keeps_transcripts(vocab, classifier, window, decode):
     config = SelfChatConfig(seeds=SEEDS, turns=6, decode=decode, rng_seed=5)
-    carried = self_chat(agent, user, config, classifier)
-    assert carried == _from_scratch(agent, user, config, classifier)
-    assert any(_truncated(d, window) for d in carried)  # some replies were fed from zeros
+    sizes = dict(vocab_size=len(vocab), embed_dim=8, hidden_dim=12, context_window=window)
+    for shape, fields in SHAPES.items():
+        agent, user = (
+            init_model(ModelConfig(**{**sizes, **changed}), seed, vocab=vocab)
+            for seed, changed in enumerate(fields)
+        )
+        carried = self_chat(agent, user, config, classifier)
+        assert carried == _from_scratch(agent, user, config, classifier), shape
+        assert any(_truncated(d, window) for d in carried), shape  # some replies were fed from zeros
 
 
 @pytest.mark.parametrize("window", [128, 40, 24])
@@ -203,40 +254,41 @@ def test_replies_feed_new_ids_from_carried_states_until_a_segment_is_dropped(
     models, classifier, monkeypatch, window
 ):
     agent, user = _with_window(models, window)
-    contexts, calls = [], []
+    calls, assembled, truncated_at = [], [], []
 
     def assemble(prefix, segments, vocab, window, tail=()):
-        context = assemble_stream(prefix, segments, vocab, window, tail)
-        whole = len(prefix) + sum(map(len, segments)) + len(tail)
-        contexts.append((context, len(context) < whole))
-        return context
+        assembled.append(len(calls) + 1)  # the position being decoded
+        return assemble_stream(prefix, segments, vocab, window, tail)
 
     def decode(decoder, suffixes, h0, config, rngs):
         replies, hs = decode_(decoder, suffixes, h0, config, rngs)
-        calls.append((decoder.model, contexts[:], suffixes, h0, replies))
-        contexts.clear()
+        calls.append((decoder.model, suffixes, h0))
         return replies, hs
 
     decode_ = selfchat._decode
     monkeypatch.setattr(selfchat, "assemble_stream", assemble)
     monkeypatch.setattr(selfchat, "_decode", decode)
     config = SelfChatConfig(seeds=SEEDS, turns=6)
-    self_chat(agent, user, config, classifier)
+    dialogs = self_chat(agent, user, config, classifier)
     monkeypatch.undo()
     seen = {"carried": 0, "reset": 0}
     held = {id(agent): [0] * len(SEEDS), id(user): [0] * len(SEEDS)}  # ids each model has fed
-    for model, assembled, suffixes, h0, replies in calls:
+    for position, (model, suffixes, h0) in enumerate(calls, start=1):
         fed = held[id(model)]
-        for i, ((context, truncated), suffix, reply) in enumerate(zip(assembled, suffixes, replies)):
+        for i, (dialog, suffix) in enumerate(zip(dialogs, suffixes)):
+            context, truncated = _context(dialog, agent.vocab, classifier, window, position)
             start = 0 if truncated else fed[i]
-            assert suffix == context[start:]
+            assert list(suffix) == context[start:]
             assert all(np.array_equal(h[i], want) for h, want in zip(h0, _encode(model, context[:start])))
             if truncated:
                 seen["reset"] += 1
+                truncated_at.append(position)
             elif start:
                 seen["carried"] += 1
-            fed[i] = len(context) + len(reply)
+            fed[i] = len(context) + len(dialog.utterances[position].tokens)
     assert seen["reset"] > 0 and (seen["carried"] > 0) == (window > 24)
+    # a context is assembled only when the window drops segments from it
+    assert assembled == truncated_at
 
 
 @pytest.mark.parametrize("window", [128, 40])
@@ -265,12 +317,17 @@ def test_each_model_feeds_each_stream_token_once(models, classifier, monkeypatch
     agent, user = models
     fed = {id(agent.params): 0, id(user.params): 0}
 
-    def counting(model, weights, streams, h0):
+    def counting_feed(model, weights, streams, h0):
         fed[id(model.params)] += sum(len(stream) for stream in streams)
         return feed(model, weights, streams, h0)
 
-    feed = model_mod._feed
-    monkeypatch.setattr(model_mod, "_feed", counting)
+    def counting_step(model, weights, ids, hs):
+        fed[id(model.params)] += len(ids)
+        return step(model, weights, ids, hs)
+
+    feed, step = model_mod._feed, model_mod._step
+    monkeypatch.setattr(model_mod, "_feed", counting_feed)
+    monkeypatch.setattr(model_mod, "_step", counting_step)
     for seed in SEEDS:
         fed.update(dict.fromkeys(fed, 0))
         config = SelfChatConfig(seeds=(seed,), turns=4)  # stays inside the 128-token window
