@@ -114,8 +114,17 @@ def bank_words() -> list[str]:
 # ----------------------------------------------------------------- types
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Utterance:
+    """One turn: its speaker, its text and the text's word tokens.
+
+    ``speaker`` is stored as the module's ``USER`` or ``AGENT`` string, not
+    the equal string passed in (a JSON reader makes one per record), and
+    ``tokens`` holds ``tokenize``'s interned strings, so a corpus keeps one
+    string per distinct speaker and word.  Like the other records here, an
+    utterance has slots and no per-instance dict.
+    """
+
     speaker: str
     text: str
     tokens: tuple[str, ...] = field(init=False, compare=False)
@@ -123,6 +132,7 @@ class Utterance:
     def __post_init__(self) -> None:
         if self.speaker not in (USER, AGENT):
             raise ValueError(f"speaker must be 'user' or 'agent', got {self.speaker!r}")
+        object.__setattr__(self, "speaker", USER if self.speaker == USER else AGENT)
         if not isinstance(self.text, str):
             raise ValueError(f"text must be a string, got {type(self.text).__name__}")
         toks = tuple(tokenize(self.text))
@@ -131,7 +141,7 @@ class Utterance:
         object.__setattr__(self, "tokens", toks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dialog:
     source_id: str
     utterances: tuple[Utterance, ...]
@@ -375,7 +385,7 @@ def filter_dialogs(
 # -------------------------------------------------- training preparation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrainingExample:
     """One teacher-forced response prediction task."""
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .checks import check_int, check_real
 from .corpus import Dialog
-from .vad import NEUTRAL_BASELINE, VadLexicon, tokenize, utterance_mean_vad
+from .vad import NEUTRAL_BASELINE, VadLexicon, VadVector, tokenize, utterance_mean_vad
 from .vocab import AGENT, USER
 
 def peg_score(dialog: Dialog, lexicon: VadLexicon) -> float:
@@ -35,16 +35,12 @@ def peg_score(dialog: Dialog, lexicon: VadLexicon) -> float:
         raise ValueError(f"{dialog.source_id}: need at least 2 user utterances")
     n = len(utts)
     tail = utts[n - math.ceil(n / 2) :]
-    user_means = [
-        utterance_mean_vad(lexicon, u.tokens).to_array()
-        for u in tail
-        if u.speaker == USER
-    ]
+    user_means = [utterance_mean_vad(lexicon, u.tokens) for u in tail if u.speaker == USER]
     if not user_means:
         raise ValueError(f"{dialog.source_id}: no user utterances in the last half")
-    base = NEUTRAL_BASELINE.to_array()
-    per_dim = np.mean(user_means, axis=0) - base
-    return float(per_dim.sum())
+    v, a, d = _mean(user_means)
+    base = NEUTRAL_BASELINE
+    return (v - base.valence) + (a - base.arousal) + (d - base.dominance)
 
 
 def e_score(dialog: Dialog, lexicon: VadLexicon) -> float:
@@ -54,16 +50,27 @@ def e_score(dialog: Dialog, lexicon: VadLexicon) -> float:
     """
     utts = dialog.utterances
     n = len(utts)
-    agent_means = [
-        utterance_mean_vad(lexicon, u.tokens).to_array()
-        for u in utts[: n // 2]
-        if u.speaker == AGENT
-    ]
+    head = utts[: n // 2]
+    agent_means = [utterance_mean_vad(lexicon, u.tokens) for u in head if u.speaker == AGENT]
     if not agent_means:
         raise ValueError(f"{dialog.source_id}: no agent utterances in the first half")
-    u1 = utterance_mean_vad(lexicon, utts[0].tokens).to_array()
-    gap = np.abs(u1 - np.mean(agent_means, axis=0))
-    return float(-gap.sum())
+    u1 = utterance_mean_vad(lexicon, utts[0].tokens)
+    v, a, d = _mean(agent_means)
+    return -(abs(u1.valence - v) + abs(u1.arousal - a) + abs(u1.dominance - d))
+
+
+def _mean(vectors: Sequence[VadVector]) -> tuple[float, float, float]:
+    """Per-component mean, summed in order and then divided, with the same
+    float64 operations as ``np.mean`` over the stacked rows (axis 0).
+    ``utterance_mean_vad`` keeps its own loop over lexicon lookups, which
+    builds no list of vectors per utterance."""
+    v = a = d = 0.0
+    for vec in vectors:
+        v += vec.valence
+        a += vec.arousal
+        d += vec.dominance
+    k = len(vectors)
+    return v / k, a / k, d / k
 
 
 def pege_score(peg: float, e: float) -> float:
@@ -74,8 +81,12 @@ def pege_score(peg: float, e: float) -> float:
 
 
 def _as_tokens(utterance) -> tuple[str, ...]:
+    """An utterance's tokens as a tuple of str; a tuple of str (such as
+    ``Utterance.tokens``) is returned as it is, not copied."""
     if isinstance(utterance, str):
         return tuple(tokenize(utterance))
+    if type(utterance) is tuple and all(type(t) is str for t in utterance):
+        return utterance
     return tuple(str(t) for t in utterance)
 
 

@@ -26,7 +26,7 @@ NEGATIVE = "negative"
 NEUTRAL = "neutral"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolarityDistribution:
     """Normalized (p_pos, p_neg, p_neu) triple."""
 

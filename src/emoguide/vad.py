@@ -13,6 +13,7 @@ share across threads.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -25,15 +26,20 @@ _WORD_RE = re.compile(r"[\w']+")
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase word tokenizer; punctuation is dropped."""
-    return _WORD_RE.findall(text.lower())
+    """Lowercase word tokenizer; punctuation is dropped.
+
+    Tokens are interned, so every utterance, training target and reply that
+    holds a word points to one string for it: a corpus holds as many token
+    strings as it has distinct words, not one per occurrence.
+    """
+    return list(map(sys.intern, _WORD_RE.findall(text.lower())))
 
 
 class LexiconFormatError(ValueError):
     """Raised for malformed lexicon input; messages carry the row number."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VadVector:
     """A point in the unit VAD cube; components are stored as Python floats."""
 

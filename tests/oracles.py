@@ -4,17 +4,22 @@ Each is the plain, per-step form of what the package computes batched:
 ``forward`` runs streams from zeros as ``generate_batch`` feeds contexts, and
 ``emotional_distance``, ``peg_loss`` and ``ner_loss`` are the per-utterance
 loss terms that ``objective.pege_loss`` sums over a whole batch's rows.
+``peg_score`` and ``e_score`` are the metrics' numpy formulas, one VAD row
+per utterance, which ``metrics`` computes in plain floats.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 from emoguide.checks import check_real
+from emoguide.corpus import Dialog
 from emoguide.model import Model, _forward_cached, pack
-from emoguide.vad import VadMatrix
+from emoguide.vad import NEUTRAL_BASELINE, VadLexicon, VadMatrix, utterance_mean_vad
+from emoguide.vocab import AGENT, USER
 
 
 def forward(model: Model, ids) -> np.ndarray:
@@ -76,3 +81,27 @@ def ner_loss(p_neg: float, dists: Sequence[np.ndarray] | np.ndarray, matrix: Vad
         p = check_distribution(dist, matrix.vocab_size)
         total += p_neg * float(np.linalg.norm(p @ matrix.values))
     return total
+
+
+def peg_score(dialog: Dialog, lexicon: VadLexicon) -> float:
+    """Mean user VAD row over the last half, minus the baseline, summed."""
+    utts = dialog.utterances
+    if sum(u.speaker == USER for u in utts) < 2:
+        raise ValueError(f"{dialog.source_id}: need at least 2 user utterances")
+    tail = utts[len(utts) - math.ceil(len(utts) / 2) :]
+    rows = [utterance_mean_vad(lexicon, u.tokens).to_array() for u in tail if u.speaker == USER]
+    if not rows:
+        raise ValueError(f"{dialog.source_id}: no user utterances in the last half")
+    return float((np.mean(rows, axis=0) - NEUTRAL_BASELINE.to_array()).sum())
+
+
+def e_score(dialog: Dialog, lexicon: VadLexicon) -> float:
+    """Negative L1 distance between the opener's VAD row and the mean agent
+    row over the first half."""
+    utts = dialog.utterances
+    head = utts[: len(utts) // 2]
+    rows = [utterance_mean_vad(lexicon, u.tokens).to_array() for u in head if u.speaker == AGENT]
+    if not rows:
+        raise ValueError(f"{dialog.source_id}: no agent utterances in the first half")
+    u1 = utterance_mean_vad(lexicon, utts[0].tokens).to_array()
+    return float(-np.abs(u1 - np.mean(rows, axis=0)).sum())

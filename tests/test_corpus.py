@@ -5,7 +5,9 @@ import json
 import os
 import stat
 import threading
+import tracemalloc
 from collections import Counter
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +38,7 @@ from emoguide.polarity import ClassifierParams, PolarityClassifier
 from emoguide.config import default_run_config
 from emoguide.resources import OFFENSIVE_FILE, data_path, read_lines
 from emoguide.vad import VadVector
+from emoguide.vocab import AGENT, USER
 
 
 @pytest.fixture(scope="module")
@@ -429,6 +432,78 @@ def test_dialog_validation():
         dialog_of(("user", "hi there"), ("user", "again more"))
     with pytest.raises(ValueError):
         Utterance("user", "!!!")
+
+
+# ------------------------------------------------ shared strings, slots
+
+
+def test_a_loaded_corpus_shares_one_string_per_word_and_speaker(tmp_path):
+    dialogs = synthesize_corpus(SynthConfig(num_dialogs=200), seed=8)
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(path, dialogs)
+    loaded = load_corpus(path)
+    tokens = [t for d in (*dialogs, *loaded) for u in d.utterances for t in u.tokens]
+    assert len({id(t) for t in tokens}) == len(set(tokens)) < 120
+    assert all(u.speaker is USER or u.speaker is AGENT for d in loaded for u in d.utterances)
+
+
+def test_a_speaker_is_stored_as_the_module_constant():
+    speaker = "".join(["us", "er"])
+    assert speaker == USER and speaker is not USER
+    assert Utterance(speaker, "hi there").speaker is USER
+
+
+@pytest.mark.parametrize("speaker", ["bot", "User", ["user"], None, 1])
+def test_a_bad_speaker_raises_one_line(tmp_path, speaker):
+    with pytest.raises(ValueError, match=r"^speaker must be 'user' or 'agent', got \S+$"):
+        Utterance(speaker, "hi there")
+    path = tmp_path / "corpus.jsonl"
+    record = {"source_id": "a", "utterances": [{"speaker": speaker, "text": "hi"}]}
+    path.write_text(json.dumps(record))
+    with pytest.raises(ValueError, match=r"jsonl: line 1: speaker must be 'user' or 'agent'"):
+        load_corpus(path)
+
+
+def test_records_have_no_instance_dict(classifier):
+    d = dialog_of(("user", "sad day"), ("agent", "warm words"), ("user", "happy joy"))
+    (ex,) = prepare_training_examples(d, classifier)
+    for record in (d, d.utterances[0], ex, ex.u1_mean_vad, ex.polarity):
+        assert not hasattr(record, "__dict__"), type(record).__name__
+
+
+def test_records_compare_hash_and_replace_by_their_fields(classifier):
+    a, b = Utterance("user", "Sad day!"), Utterance("user", "Sad day!")
+    assert a == b and {a, b} == {a} and hash(a) == hash((USER, "Sad day!"))
+    assert a != Utterance("user", "sad day") and a != Utterance("agent", "Sad day!")
+    assert not next(f for f in fields(Utterance) if f.name == "tokens").compare
+    changed = replace(a, text="happy joy")
+    assert changed.tokens == ("happy", "joy") and changed.speaker is USER
+    with pytest.raises(ValueError):
+        replace(a, tokens=("x",))  # init=False: derived from the text
+    with pytest.raises(FrozenInstanceError):
+        a.text = "other"
+    d = dialog_of(("user", "sad day"), ("agent", "warm words"), ("user", "happy joy"))
+    assert replace(d) == d and hash(replace(d)) == hash(d) and replace(d, source_id="x") != d
+    (ex,) = prepare_training_examples(d, classifier)
+    assert replace(ex) == ex and hash(replace(ex)) == hash(ex)
+    assert replace(ex.u1_mean_vad, valence=0.25).valence == 0.25
+    with pytest.raises(ValueError):
+        replace(ex.u1_mean_vad, valence=2.0)
+    assert replace(ex.polarity) == ex.polarity
+
+
+def test_a_loaded_corpus_holds_under_300_bytes_per_utterance(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(path, synthesize_corpus(SynthConfig(num_dialogs=2000), seed=1))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = load_corpus(path)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # 563 bytes with a dict per record and a string per token and speaker
+    assert held / sum(len(d.utterances) for d in loaded) <= 300
 
 
 def test_packaged_fixtures_match_their_generator(tmp_path):

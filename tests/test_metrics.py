@@ -10,6 +10,7 @@ import pytest
 from emoguide.corpus import Dialog, SynthConfig, Utterance, synthesize_corpus
 from emoguide.metrics import (
     NEUTRAL_BASELINE,
+    _as_tokens,
     bleu,
     distinct_n,
     e_score,
@@ -19,6 +20,8 @@ from emoguide.metrics import (
 )
 from emoguide.config import default_run_config
 from emoguide.vad import VadLexicon, VadVector
+
+import oracles
 
 
 def lex_of(table):
@@ -114,6 +117,37 @@ def test_e_is_never_positive_on_random_dialogs():
         assert -1.5 <= peg_score(d, lex) <= 1.5
 
 
+def _random_dialogs(rng, count):
+    """Dialogs of 3 to 41 utterances over words with random VAD values,
+    some of them missing from the lexicon."""
+    words = [f"w{i}" for i in range(60)]
+    lex = lex_of({w: tuple(rng.random(3)) for w in words[:50]})
+    dialogs = []
+    for i in range(count):
+        n = int(rng.integers(3, 42))
+        texts = [" ".join(rng.choice(words, size=rng.integers(1, 9))) for _ in range(n)]
+        utterances = (Utterance("agent" if k % 2 else "user", t) for k, t in enumerate(texts))
+        dialogs.append(Dialog(f"random-{i}", tuple(utterances)))
+    return lex, dialogs
+
+
+def _score_or_error(score, dialog, lex):
+    try:
+        return score(dialog, lex)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_scores_equal_the_numpy_formulas_bit_for_bit():
+    cases = [_random_dialogs(np.random.default_rng(3), 300)]
+    synthesized = synthesize_corpus(SynthConfig(num_dialogs=50, turns_range=(3, 41)), seed=5)
+    cases.append((default_run_config().lexicon(), synthesized))
+    for lex, dialogs in cases:
+        for d in dialogs:
+            for ours, oracle in ((peg_score, oracles.peg_score), (e_score, oracles.e_score)):
+                assert _score_or_error(ours, d, lex) == _score_or_error(oracle, d, lex), d.source_id
+
+
 # ----------------------------------------------------------- pege_score
 
 
@@ -206,6 +240,13 @@ def test_distinct_validation():
         distinct_n([], 1)
     with pytest.raises(ValueError):
         distinct_n(["a b"], 0)
+
+
+def test_token_tuples_are_not_copied():
+    u = Utterance("user", "a b a")
+    assert _as_tokens(u.tokens) is u.tokens
+    assert _as_tokens(["a", "b"]) == ("a", "b")
+    assert _as_tokens((np.str_("a"), "b")) == ("a", "b")
 
 
 def test_distinct_never_exceeds_one():
