@@ -19,20 +19,25 @@ only on the tokens before it, so training runs the examples of a dialog
 whose streams nest as one stream, with each example's response rows read
 out of it.
 
-Decoding feeds every stream from its given states as one packed forward
-pass (``_feed``), then takes one step per token over the replies still
-running (``_step``), and returns each stream's states after its reply.  A
-step runs one token per running reply, in the order the replies are
-carried, straight through the layer loop and the GRU cell: it packs nothing
-and keeps nothing for backward().  The state arrays hold only the running
-replies: a row leaves them when its reply emits <eou>.  Greedy decoding
-masks the bans in the fresh logits and takes their argmax; top-k sampling
-(``_choose``) draws in float64.  ``generate_batch`` checks its contexts and
-decodes them from zeros; ``generate`` is its one-context call.  Self-chat
-calls ``_decode`` itself, to feed each model only the tokens added since its
-last reply.  Every GEMM of a decode call runs on at least two rows, so on a
-BLAS that gives a row the same bits at any row count M >= 2 (see
-``_feed``), a reply's bits do not depend on the batch that decoded it.
+The packed pass is the training pass, and runs every stream from zero
+states.  Decoding has its own layer loop (``_step``): a step runs one token
+per row straight through the layers and the GRU cell, packs nothing and
+keeps nothing for backward().  ``_decode`` feeds every stream's suffix from
+its given states one position per step, the streams sorted longest first so
+that the rows still running at a position are a leading slice, and puts the
+rows back in stream order once.  It then takes one step per token over the
+replies still running, and returns each stream's states after its reply.
+The readout (``_readout``) computes the logits from the top layer's states,
+once after the suffixes and once after each token fed back.  The state
+arrays hold only the running replies: a row leaves them when its reply emits
+<eou>.  Greedy decoding masks the bans in the fresh logits and takes their
+argmax; top-k sampling (``_choose``) draws in float64.  ``generate_batch``
+checks its contexts and decodes them from zeros; ``generate`` is its
+one-context call.  Self-chat calls ``_decode`` itself, to feed each model
+only the tokens added since its last reply.  Every GEMM of a decode call
+runs on at least two rows, so on a BLAS that gives a row the same bits at
+any row count M >= 2 (see ``_step``), a reply's bits do not depend on the
+batch that decoded it.
 
 Every pass runs from the model's joined weights (``_join_weights``): each
 layer's gate weights, and layer 0's input projections of every vocabulary
@@ -212,8 +217,9 @@ def pack(streams: Sequence[np.ndarray], spans: Sequence[tuple[int, int, int]]):
 
 
 class _Weights(NamedTuple):
-    """A model's parameters joined for running (``_join_weights``); read-only,
-    so every pass and thread that runs the same parameters can share it."""
+    """A model's parameters joined for running (``_join_weights``): once per
+    training pass, or once per decoder (``_prepare``).  Read-only, so every
+    decode call and thread that runs the same parameters can share it."""
 
     zr0: np.ndarray  # (V, 2H): layer 0's z|r input projection of every id, emb @ w_zr + b_zr
     c0: np.ndarray  # (V, H): layer 0's candidate input projection of every id
@@ -227,31 +233,22 @@ def _join_weights(model: Model) -> _Weights:
     return _Weights(emb @ w_zr + b_zr, emb @ w_c + b_c, layers)
 
 
-def _forward_cached(
-    model: Model,
-    ids: np.ndarray,
-    batch_sizes: np.ndarray,
-    readout: np.ndarray,
-    h0: Sequence[np.ndarray] | None = None,
-    weights: _Weights | None = None,
-):
-    """Run the stack over a packed batch (see ``pack``); returns the logits at
-    the packed rows ``readout`` plus everything backward() needs.
+def _forward_cached(model: Model, ids: np.ndarray, batch_sizes: np.ndarray, readout: np.ndarray):
+    """Run the stack over a packed batch (see ``pack``) from zero states, the
+    training pass; returns the logits at the packed rows ``readout`` plus
+    everything backward() needs.
 
     Step t runs the GRU on its n_t active rows only: the streams are sorted
     longest first, so those are the first n_t rows of the previous hidden
     state.  Layer 0 gathers every position's input projections from the
     tables by id; the layers above project theirs as one GEMM each.  The
-    readout runs over the ``readout`` rows only.  ``h0`` holds each layer's
-    (B, H) initial states, in stream order (zeros without it); a stream's
-    final states are the cached ``h`` rows of its last position.
-    ``weights`` is ``_join_weights(model)``, joined here if not given.
+    readout runs over the ``readout`` rows only.
     """
     p, H = model.params, model.config.hidden_dim
     # (first row, row count) of every step
     sizes = batch_sizes.tolist()
     steps = list(zip(itertools.accumulate(sizes, initial=0), sizes))
-    weights = _join_weights(model) if weights is None else weights
+    weights = _join_weights(model)
     # every position's input projections, z|r and c apart so that a step's
     # rows of each are contiguous; the loop turns them into the gates
     zr, c = weights.zr0[ids], weights.c0[ids]
@@ -260,11 +257,11 @@ def _forward_cached(
         if layer:
             zr, c = x @ w_zr + b_zr, x @ w_c + b_c
         h = np.empty((len(ids), H), dtype=zr.dtype)
-        h_prev = first = np.zeros((steps[0][1], H), dtype=h.dtype) if h0 is None else h0[layer]
+        h_prev = np.zeros((steps[0][1], H), dtype=h.dtype)
         for lo, n in steps:
             rows = slice(lo, lo + n)
             h[rows] = h_prev = _gru_cell(zr[rows], c[rows], h_prev[:n], u_zr, u_c)
-        caches.append({"zr": zr, "c": c, "h": h, "h0": first, "weights": (w_zr, w_c, u_zr, u_c)})
+        caches.append({"zr": zr, "c": c, "h": h, "weights": (w_zr, w_c, u_zr, u_c)})
         x = h
     logits = x[readout] @ p["out_w"] + p["out_b"]
     cache = {"ids": ids, "steps": steps, "readout": readout, "layers": caches, "top": x}
@@ -278,8 +275,8 @@ def _layer_backward(layer: int, cache: dict, x: np.ndarray, dh_out: np.ndarray, 
     H = h.shape[1]
     # contiguous copies, made once, instead of a transposed view per GEMM per step
     u_zrT, u_cT = np.ascontiguousarray(u_zr.T), np.ascontiguousarray(u_c.T)
-    h_shift = np.empty_like(h)  # each row's recurrent input h_{t-1}; h0 at t = 0
-    h_shift[: steps[0][1]] = cache["h0"]
+    h_shift = np.empty_like(h)  # each row's recurrent input h_{t-1}; zeros at t = 0
+    h_shift[: steps[0][1]] = 0.0
     for (lo, n), (lo_prev, _) in zip(steps[1:], steps):  # the streams still running come first
         h_shift[lo : lo + n] = h[lo_prev : lo_prev + n]
     da_zr, da_c = np.empty_like(zr), np.empty_like(c)  # d(loss)/d(a_z|a_r), d(loss)/d(a_c)
@@ -364,40 +361,18 @@ class DecodeConfig:
         check_int("max_tokens", self.max_tokens, 0, MAX_WORDS)
 
 
-def _feed(model: Model, weights: _Weights, streams: Sequence[Sequence[int]], h0: list):
-    """Feed every stream from its initial states in one packed forward pass.
-
-    ``h0`` holds each layer's (B, H) initial states, in stream order.
-    Returns the logits after each stream's last token and each layer's states
-    there, both in stream order.  The streams are sorted longest first and
-    packed once.  Every GEMM runs on at least 2 rows: a 1-row float32 GEMM
-    takes BLAS's GEMV path, whose bits differ, so a stream that would run a
-    step alone runs twice.  Each row's bits then do not depend on which other
-    streams share the batch, provided the BLAS gives a row of an M-row GEMM
-    the same bits for every M >= 2.  That was checked on OpenBLAS 0.3.31
-    (Haswell kernels, 1 thread), not reasoned out: a BLAS that picks its
-    kernel by M (small-matrix kernels, MKL) may break it, and
-    ``tests/test_model.py`` checks it on the BLAS in use.
-    """
-    n = len(streams)
-    order = sorted(range(n), key=lambda i: -len(streams[i]))  # stable
-    pad = int(n == 1 or len(streams[order[0]]) > len(streams[order[1]]))
-    order = order[:1] * pad + order
-    packed = [streams[i] for i in order]
-    ids, batch_sizes, last = pack(packed, [(i, len(s) - 1, len(s)) for i, s in enumerate(packed)])
-    logits, cache = _forward_cached(model, ids, batch_sizes, last, [h[order] for h in h0], weights)
-    back = np.empty(n, dtype=np.int64)
-    back[order[pad:]] = np.arange(pad, len(order))
-    return logits[back], [layer["h"][last[back]] for layer in cache["layers"]]
-
-
-def _step(model: Model, weights: _Weights, ids: np.ndarray, hs: list):
+def _step(weights: _Weights, ids: np.ndarray, hs: list) -> list[np.ndarray]:
     """One decode step: token ``ids[i]`` fed from each layer's states ``hs[l][i]``.
 
     The rows run as given, straight through the layer loop and the GRU cell,
-    with none of the packed pass's bookkeeping.  Returns the logits and each
-    layer's states after the step.  A lone row runs twice, as in ``_feed``,
-    so that every GEMM runs on at least 2 rows.
+    with none of the packed pass's bookkeeping.  Returns each layer's states
+    after the step.  Every GEMM runs on at least 2 rows: a 1-row float32 GEMM
+    takes BLAS's GEMV path, whose bits differ, so a lone row runs twice.  Each
+    row's bits then do not depend on which other rows share the step,
+    provided the BLAS gives a row of an M-row GEMM the same bits for every
+    M >= 2.  That was checked on OpenBLAS 0.3.31 (Haswell kernels, 1 thread),
+    not reasoned out: a BLAS that picks its kernel by M (small-matrix kernels,
+    MKL) may break it, and ``tests/test_model.py`` checks it on the BLAS in use.
     """
     n = len(ids)
     if n == 1:
@@ -409,7 +384,13 @@ def _step(model: Model, weights: _Weights, ids: np.ndarray, hs: list):
             zr, c = x @ w_zr + b_zr, x @ w_c + b_c
         x = _gru_cell(zr, c, hs[layer], u_zr, u_c)
         out.append(x[-n:])
-    return (x @ model.params["out_w"] + model.params["out_b"])[-n:], out
+    return out
+
+
+def _readout(model: Model, top: np.ndarray) -> np.ndarray:
+    """The logits after each row's top-layer state; a lone row runs twice, as in ``_step``."""
+    rows = top if len(top) > 1 else top[[0, 0]]
+    return (rows @ model.params["out_w"] + model.params["out_b"])[-len(top):]
 
 
 def _choose(logits: np.ndarray, decode: DecodeConfig, banned: np.ndarray, rngs) -> np.ndarray:
@@ -464,19 +445,19 @@ def generate_batch(
 ) -> list[list[int]]:
     """Decode a reply after every context, all of them in lockstep.
 
-    The contexts are fed from zeros as one packed batch, and each decode
-    step is one batched step over the replies still running; a reply ends at
-    <eou> or after max_tokens.  ``forbidden_ids`` are masked at every step,
-    ``eou_id`` additionally at the first step so replies are never empty.
-    Both must be ids in the vocabulary that leave at least one id to choose,
-    or the call raises ValueError before it feeds anything.  Context i
-    samples with ``rngs[i]`` (top_k needs one per context).  As temperature
-    -> 0, top_k sampling converges to the greedy choice.
+    The contexts are fed from zeros, one batched step per position, and each
+    decode step is one batched step over the replies still running; a reply
+    ends at <eou> or after max_tokens.  ``forbidden_ids`` are masked at
+    every step, ``eou_id`` additionally at the first step so replies are
+    never empty.  Both must be ids in the vocabulary that leave at least one
+    id to choose, or the call raises ValueError before it feeds anything.
+    Context i samples with ``rngs[i]`` (top_k needs one per context).  As
+    temperature -> 0, top_k sampling converges to the greedy choice.
 
     Every context must be a 1-D, nonempty sequence of integer ids in the
     vocabulary, at most a context window long; all of a call's contexts are
     checked as one array.  A row's bits do not depend on the other contexts
-    of the batch (see ``_feed``), so a reply is the same whichever batch
+    of the batch (see ``_step``), so a reply is the same whichever batch
     decodes it.  Each call prepares the model anew (``_prepare``); self-chat
     prepares once and calls ``_decode``, which also carries states.
     """
@@ -507,14 +488,28 @@ def _decode(
     ``generate_batch`` does, with nothing checked: the caller gives valid ids
     and one rng per suffix.  ``h0`` holds each layer's (B, H) states, in
     suffix order.  Returns the replies and each layer's (B, H) states after
-    each suffix and its reply (<eou> is never fed)."""
+    each suffix and its reply (<eou> is never fed).
+
+    The suffixes are fed sorted longest first, so the rows still running at
+    a position are the first n_t rows of the states, and the rows go back to
+    suffix order once, after the last position."""
     model, weights, eou_id = decoder.model, decoder.weights, decoder.eou_id
-    logits, hs = _feed(model, weights, suffixes, h0)
+    order = sorted(range(len(suffixes)), key=lambda i: -len(suffixes[i]))  # stable
+    ids, batch_sizes, _ = pack([suffixes[i] for i in order], [])
+    hs = [h[order] for h in h0]
+    lo = 0
+    for n in batch_sizes.tolist():
+        for h, new in zip(hs, _step(weights, ids[lo : lo + n], [h[:n] for h in hs])):
+            h[:n] = new
+        lo += n
+    back = np.argsort(order)
+    hs = [h[back] for h in hs]
     outs: list[list[int]] = [[] for _ in suffixes]
     final = [np.empty_like(h) for h in hs]  # each row's states once its reply ends
     live = np.arange(len(suffixes))  # the replies still running; rows of logits and hs
     rows = live.tolist()
     for step in range(decode.max_tokens):
+        logits = _readout(model, hs[-1])
         banned = decoder.first_ban if step == 0 else decoder.ban
         if decode.mode == "greedy":  # logits are fresh each step, so mask them in place
             logits[:, banned] = -np.inf
@@ -532,7 +527,7 @@ def _decode(
             rows, tokens = live.tolist(), choices.tolist()
         for i, token in zip(rows, tokens):
             outs[i].append(token)
-        logits, hs = _step(model, weights, choices, hs)
+        hs = _step(weights, choices, hs)
     for f, h in zip(final, hs):
         f[live] = h
     return outs, final

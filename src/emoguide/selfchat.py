@@ -48,7 +48,8 @@ from .model import DecodeConfig, Model, _decode, _Decoder, _prepare
 from .model import generate  # noqa: F401  perfbench's tracer wraps this name here
 from .polarity import NEGATIVE, NEUTRAL, POSITIVE, PolarityClassifier
 from .vad import tokenize
-from .vocab import AGENT, AGT, EOU, USER, USR, Vocab, assemble_stream, encode_emotion_prefix
+from .vocab import AGENT, AGT, EOU, USER, USR, Vocab
+from .vocab import assemble_stream, encode_emotion_prefix, utterance_segment
 
 POLARITY_LABELS = (NEGATIVE, NEUTRAL, POSITIVE)
 
@@ -116,7 +117,7 @@ def _run_dialog(
     marker = {AGENT: vocab.id(AGT), USER: vocab.id(USR)}
 
     utterances = [Utterance(USER, " ".join(opener))]
-    segments = [[marker[USER], *vocab.encode(opener), eou_id]]
+    segments = [utterance_segment(USER, opener, vocab)]
     stream = [*vocab.encode(prefix), *segments[0]]
     fed = {AGENT: 0, USER: 0}  # each model's fed ids: its last context and reply
     for position in range(1, 2 * config.turns):

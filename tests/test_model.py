@@ -14,7 +14,6 @@ from emoguide.model import (
     ModelConfig,
     backward,
     _check_ids,
-    _feed,
     _forward_cached,
     _scatter_rows,
     _sigmoid,
@@ -93,19 +92,19 @@ def test_causality():
     assert not np.allclose(after[3:], base[3:])
 
 
-def _worst_fd_error(m, ids, batch_sizes, readout, R, h0=None) -> float:
+def _worst_fd_error(m, ids, batch_sizes, readout, R) -> float:
     """Worst relative error of backward() against central differences of the
     scalar loss <R, logits>, so that dL/dlogits = R, one parameter at a time.
     Each perturbed point is stored into the model's float64 parameter, so the
     differences are those of the float64 forward pass."""
-    grads = backward(m, _forward_cached(m, ids, batch_sizes, readout, h0)[1], R)
+    grads = backward(m, _forward_cached(m, ids, batch_sizes, readout)[1], R)
     worst = 0.0
     for name, param in m.params.items():
         saved = param.copy()
 
         def loss_at(x):
             param[...] = x
-            return float((R * _forward_cached(m, ids, batch_sizes, readout, h0)[0]).sum())
+            return float((R * _forward_cached(m, ids, batch_sizes, readout)[0]).sum())
 
         worst = max(worst, finite_diff_check(loss_at, saved, grads[name], eps=1e-6))
         param[...] = saved
@@ -135,30 +134,18 @@ def test_packed_backward_matches_finite_differences():
     assert _worst_fd_error(m, ids, batch_sizes, readout, R) <= 1e-4
 
 
-def test_backward_from_initial_states_matches_finite_differences():
-    # streams that start from given states, as decoding feeds them
-    m = init_model(TINY, seed=8).astype(np.float64)
-    rng = np.random.default_rng(2)
-    streams = [rng.integers(0, TINY.vocab_size, size=n) for n in (5, 3, 1)]
-    ids, batch_sizes, readout = pack(streams, [(0, 0, 5), (1, 1, 3), (2, 0, 1)])
-    h0 = [rng.normal(size=(3, TINY.hidden_dim)) for _ in range(TINY.num_layers)]
-    R = rng.normal(size=(len(readout), TINY.vocab_size))
-    assert _worst_fd_error(m, ids, batch_sizes, readout, R, h0) <= 1e-4
-
-
 def test_backward_through_shared_prefixes_matches_finite_differences():
     # as training packs a dialog's nested examples: several readout spans per
-    # stream, one stream a prefix of another, from nonzero initial states
+    # stream, one stream a prefix of another
     m = init_model(TINY, seed=10).astype(np.float64)
     rng = np.random.default_rng(6)
     long = rng.integers(0, TINY.vocab_size, size=9)
     streams = [long, rng.integers(0, TINY.vocab_size, size=6), long[:5]]
     spans = [(0, 1, 3), (0, 4, 6), (0, 7, 9), (1, 0, 2), (1, 3, 6), (2, 2, 5)]
     ids, batch_sizes, readout = pack(streams, spans)
-    h0 = [rng.normal(size=(3, TINY.hidden_dim)) for _ in range(TINY.num_layers)]
     R = rng.normal(size=(len(readout), TINY.vocab_size))
     assert TINY.num_layers == 2 and len(readout) == 14
-    assert _worst_fd_error(m, ids, batch_sizes, readout, R, h0) <= 1e-4
+    assert _worst_fd_error(m, ids, batch_sizes, readout, R) <= 1e-4
 
 
 def test_pack_layout():
@@ -300,39 +287,44 @@ def test_decode_step_logits_match_forward_at_every_position(dtype, rtol, atol):
     hs = [np.zeros((1, TINY.hidden_dim), dtype=dtype) for _ in weights.layers]
     stepped = []
     for token in ids.tolist():
-        logits, hs = _step(m, weights, np.array([token]), hs)
-        stepped.append(logits[0])
+        hs = _step(weights, np.array([token]), hs)
+        stepped.append(model_mod._readout(m, hs[-1])[0])
     stepped = np.stack(stepped)
     assert stepped.dtype == full.dtype == dtype
     np.testing.assert_allclose(stepped, full, rtol=rtol, atol=atol)
 
 
+def _states_after(decoder, streams, h0) -> list[np.ndarray]:
+    """Each layer's states after feeding every stream from its states in
+    ``h0``, through ``_decode`` with no token to decode."""
+    return model_mod._decode(decoder, streams, h0, DecodeConfig(max_tokens=0), [None] * len(streams))[1]
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_batched_feed_is_bit_equal_to_each_stream_alone(monkeypatch, dtype):
     m = init_model(TINY, seed=9).astype(dtype)
-    weights = _join_weights(m)
+    decoder = model_mod._prepare(m)
     rng = np.random.default_rng(5)
     streams = [rng.integers(0, TINY.vocab_size, size=n).tolist() for n in (3, 7, 1, 7, 12)]
-    h0 = [rng.normal(size=(len(streams), TINY.hidden_dim)).astype(dtype) for _ in weights.layers]
+    h0 = [rng.normal(size=(len(streams), TINY.hidden_dim)).astype(dtype) for _ in range(TINY.num_layers)]
 
-    def at_least_two_rows(model, ids, batch_sizes, readout, h0=None, weights=None):
+    def at_least_two_rows(zr, c, h_prev, u_zr, u_c):
         # a 1-row GEMM would take the GEMV path, whose bits differ
-        assert batch_sizes.min() >= 2 and len(readout) >= 2
-        return forward_cached(model, ids, batch_sizes, readout, h0, weights)
+        assert len(h_prev) >= 2
+        return gru_cell(zr, c, h_prev, u_zr, u_c)
 
-    forward_cached = model_mod._forward_cached
-    monkeypatch.setattr(model_mod, "_forward_cached", at_least_two_rows)
-    logits, hs = _feed(m, weights, streams, h0)
-    assert logits.shape == (len(streams), TINY.vocab_size)
+    gru_cell = model_mod._gru_cell
+    monkeypatch.setattr(model_mod, "_gru_cell", at_least_two_rows)
+    hs = _states_after(decoder, streams, h0)
+    logits = model_mod._readout(m, hs[-1])
     for i, stream in enumerate(streams):
-        alone, alone_hs = _feed(m, weights, [stream], [h[i : i + 1] for h in h0])
-        assert np.array_equal(alone[0], logits[i])
-        assert all(np.array_equal(a[0], h[i]) for a, h in zip(alone_hs, hs))
+        alone = _states_after(decoder, [stream], [h[i : i + 1] for h in h0])
+        assert all(np.array_equal(a[0], h[i]) for a, h in zip(alone, hs))
+        assert np.array_equal(model_mod._readout(m, alone[-1])[0], logits[i])
         # fed in two parts, the second from the first's states: the same bits
-        _, part = _feed(m, weights, [stream[:1]], [h[i : i + 1] for h in h0])
+        part = _states_after(decoder, [stream[:1]], [h[i : i + 1] for h in h0])
         if len(stream) > 1:
-            rest, part = _feed(m, weights, [stream[1:]], part)
-            assert np.array_equal(rest[0], logits[i])
+            part = _states_after(decoder, [stream[1:]], part)
         assert all(np.array_equal(a[0], h[i]) for a, h in zip(part, hs))
 
 
@@ -429,31 +421,23 @@ def test_generate_contracts():
     assert len(out2) >= 1
 
 
-def _count_streams(monkeypatch) -> list[list[list[int]]]:
-    """Record the streams fed by every ``_feed`` and ``_step`` call from here
-    on; a step feeds one id per stream."""
+def _count_steps(monkeypatch) -> list[list[int]]:
+    """Record the ids fed by every ``_step`` call from here on, one per row."""
     calls = []
 
-    def counting_feed(model, weights, streams, h0):
-        calls.append([list(stream) for stream in streams])
-        return feed(model, weights, streams, h0)
+    def counting_step(weights, ids, hs):
+        calls.append(ids.tolist())
+        return step(weights, ids, hs)
 
-    def counting_step(model, weights, ids, hs):
-        calls.append([[token] for token in ids.tolist()])
-        return step(model, weights, ids, hs)
-
-    feed, step = model_mod._feed, model_mod._step
-    monkeypatch.setattr(model_mod, "_feed", counting_feed)
+    step = model_mod._step
     monkeypatch.setattr(model_mod, "_step", counting_step)
     return calls
 
 
 def _encode(m, ids) -> list[np.ndarray]:
     """Each layer's hidden state after feeding ``ids`` from zeros."""
-    weights = _join_weights(m)
-    zeros = [np.zeros((1, m.config.hidden_dim), dtype=m.dtype) for _ in weights.layers]
-    _, hs = _feed(m, weights, [list(ids)], zeros)
-    return [h[0] for h in hs]
+    zeros = [np.zeros((1, m.config.hidden_dim), dtype=m.dtype)] * m.config.num_layers
+    return [h[0] for h in _states_after(model_mod._prepare(m), [list(ids)], zeros)]
 
 
 @pytest.mark.parametrize("mode", ["greedy", "top_k"])
@@ -469,13 +453,16 @@ def test_carried_state_feeds_only_the_new_suffix(monkeypatch, mode):
         rngs = lambda: [np.random.default_rng([turn, i]) for i in range(len(contexts))]
         stateless = generate_batch(m, contexts, decode, eou_id=3, rngs=rngs())
         suffixes = [ctx[n:] for ctx, n in zip(contexts, held)]
-        calls = _count_streams(monkeypatch)
+        calls = _count_steps(monkeypatch)
         outs, hs = model_mod._decode(decoder, suffixes, hs, decode, rngs())
         monkeypatch.undo()
         assert outs == stateless
-        # the suffixes once, then every emitted id once (<eou> never)
-        assert calls[0] == suffixes
-        assert sum(len(stream) for call in calls[1:] for stream in call) == sum(map(len, outs))
+        # the suffixes once, longest first and a position per step, then
+        # every emitted id once (<eou> never)
+        longest_first = sorted(suffixes, key=len, reverse=True)  # stable
+        width = len(longest_first[0])
+        assert calls[:width] == [[s[t] for s in longest_first if len(s) > t] for t in range(width)]
+        assert sum(map(len, calls[width:])) == sum(map(len, outs))
         for i, (ctx, out) in enumerate(zip(contexts, outs)):
             assert all(np.array_equal(h[i], want) for h, want in zip(hs, _encode(m, ctx + out)))
         held = [len(ctx) + len(out) for ctx, out in zip(contexts, outs)]
@@ -535,7 +522,7 @@ def test_a_bad_id_in_any_context_of_a_batch_raises(monkeypatch, bad, carried, wh
     earlier = [ctx + out for ctx, out in zip(firsts, outs)]
     contexts = [[*ids, 3, 4] for ids in earlier]
     contexts[where] = BAD_CONTEXTS[bad](earlier[where] if carried == "carried" else ())
-    calls = _count_streams(monkeypatch)
+    calls = _count_steps(monkeypatch)
     with pytest.raises(ValueError):
         generate_batch(m, contexts, DecodeConfig(max_tokens=3), eou_id=3)
     assert calls == []  # nothing was decoded
@@ -561,7 +548,7 @@ def test_bans_outside_the_vocabulary_or_of_every_id_raise(monkeypatch, mode, ban
     m = init_model(TINY, seed=5)
     decode = DecodeConfig(mode=mode, max_tokens=3)
     rngs = lambda: [np.random.default_rng(i) for i in range(2)]
-    calls = _count_streams(monkeypatch)
+    calls = _count_steps(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a NaN warning from top_k is not a clean failure
         with pytest.raises(ValueError, match="forbidden_ids|eou_id"):
@@ -607,33 +594,43 @@ def test_greedy_choice_in_float32_equals_float64_masked_argmax():
 def test_every_step_runs_two_rows_when_one_reply_is_left(monkeypatch):
     m = init_model(TINY, seed=5)
     decode = DecodeConfig(mode="top_k", k=7, max_tokens=10)
-    contexts = [[1, 2], [5], [2, 4, 6], [6, 2, 2], [4, 4], [1]]
-    rngs = lambda: [np.random.default_rng([2, i]) for i in range(len(contexts))]
-    alone = [generate(m, c, decode, eou_id=3, rng=r) for c, r in zip(contexts, rngs())]
-    stepped, rows_run = [], []
+    stepped, rows_run, readout_rows = [], [], []
 
-    def step(model, weights, ids, hs):
+    def step(weights, ids, hs):
         stepped.append(len(ids))
-        return step_(model, weights, ids, hs)
+        return step_(weights, ids, hs)
 
     def gru_cell(zr, c, h_prev, u_zr, u_c):
         rows_run.append(len(h_prev))  # the rows of the recurrent GEMMs, and of every
         return gru_cell_(zr, c, h_prev, u_zr, u_c)  # GEMM a step runs on its states
 
-    def forward_cached(model, ids, batch_sizes, readout, h0=None, weights=None):
-        rows_run.append(len(readout))  # the rows of a packed pass's readout GEMM
-        return forward_cached_(model, ids, batch_sizes, readout, h0, weights)
+    class Readout(np.ndarray):  # out_w, recording the rows of each product with it
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                readout_rows.append(len(inputs[0]))
+            return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
 
-    step_, gru_cell_, forward_cached_ = model_mod._step, model_mod._gru_cell, model_mod._forward_cached
-    monkeypatch.setattr(model_mod, "_step", step)
-    monkeypatch.setattr(model_mod, "_gru_cell", gru_cell)
-    monkeypatch.setattr(model_mod, "_forward_cached", forward_cached)
-    outs = generate_batch(m, contexts, decode, eou_id=3, rngs=rngs())
-    monkeypatch.undo()
-    assert outs == alone
-    # the replies ended at different steps, down to one left running
-    assert stepped[0] == len(contexts) and 1 in stepped
-    assert min(rows_run) >= 2
+    step_, gru_cell_ = model_mod._step, model_mod._gru_cell
+    # the first contexts share their longest length; the second have one
+    # strictly longest, so that feeding them runs a lone row
+    tied = [[1, 2], [5], [2, 4, 6], [6, 2, 2], [4, 4], [1]]
+    for contexts in (tied, [[1, 2], [5, 6, 2, 4, 6], [6, 2], [1]]):
+        rngs = lambda: [np.random.default_rng([2, i]) for i in range(len(contexts))]
+        alone = [generate(m, c, decode, eou_id=3, rng=r) for c, r in zip(contexts, rngs())]
+        for record in (stepped, rows_run, readout_rows):
+            record.clear()
+        monkeypatch.setattr(model_mod, "_step", step)
+        monkeypatch.setattr(model_mod, "_gru_cell", gru_cell)
+        monkeypatch.setitem(m.params, "out_w", m.params["out_w"].view(Readout))
+        outs = generate_batch(m, contexts, decode, eou_id=3, rngs=rngs())
+        monkeypatch.undo()
+        assert outs == alone
+        # the replies ended at different steps, down to one left running
+        width = max(map(len, contexts))
+        assert stepped[0] == len(contexts) and 1 in stepped[width:]
+        assert (1 in stepped[:width]) == (sorted(map(len, contexts))[-2] < width)
+        assert readout_rows[0] == len(contexts)  # the readout after the contexts
+        assert min(rows_run + readout_rows) >= 2
 
 
 def test_top_k_temperature_limit_is_greedy():

@@ -16,7 +16,7 @@ from emoguide.corpus import (
     prepare_user_side_examples,
     synthesize_corpus,
 )
-from emoguide.model import DecodeConfig, ModelConfig, _feed, _join_weights, generate_batch, init_model
+from emoguide.model import DecodeConfig, ModelConfig, generate_batch, init_model
 from emoguide.polarity import ClassifierParams, PolarityClassifier
 from emoguide.config import default_run_config
 from emoguide.resources import data_path, SEEDS_FILE
@@ -223,7 +223,8 @@ def _encode(model, ids):
     zeros = [np.zeros((1, model.config.hidden_dim), model.dtype)] * model.config.num_layers
     if not ids:
         return [h[0] for h in zeros]
-    return [h[0] for h in _feed(model, _join_weights(model), [ids], zeros)[1]]
+    no_reply = DecodeConfig(max_tokens=0)
+    return [h[0] for h in model_mod._decode(model_mod._prepare(model), [ids], zeros, no_reply, [None])[1]]
 
 
 def _truncated(dialog, window):
@@ -355,18 +356,19 @@ def test_dialogs_do_not_depend_on_the_batch(trained, classifier, window, decode)
 
 def test_each_model_feeds_each_stream_token_once(models, classifier, monkeypatch):
     agent, user = models
-    fed = {id(agent.params): 0, id(user.params): 0}
+    fed, owner = {id(agent.params): 0, id(user.params): 0}, {}  # owner: weights -> model
 
-    def counting_feed(model, weights, streams, h0):
-        fed[id(model.params)] += sum(len(stream) for stream in streams)
-        return feed(model, weights, streams, h0)
+    def prepare(model, *args, **kwargs):
+        decoder = prepare_(model, *args, **kwargs)
+        owner[id(decoder.weights)] = model
+        return decoder
 
-    def counting_step(model, weights, ids, hs):
-        fed[id(model.params)] += len(ids)
-        return step(model, weights, ids, hs)
+    def counting_step(weights, ids, hs):
+        fed[id(owner[id(weights)].params)] += len(ids)
+        return step(weights, ids, hs)
 
-    feed, step = model_mod._feed, model_mod._step
-    monkeypatch.setattr(model_mod, "_feed", counting_feed)
+    prepare_, step = selfchat._prepare, model_mod._step
+    monkeypatch.setattr(selfchat, "_prepare", prepare)
     monkeypatch.setattr(model_mod, "_step", counting_step)
     for seed in SEEDS:
         fed.update(dict.fromkeys(fed, 0))
@@ -379,6 +381,26 @@ def test_each_model_feeds_each_stream_token_once(models, classifier, monkeypatch
             stream = 2 + sum(n + 2 for n in lengths[:last]) + 1 + lengths[last]
             assert stream <= model.config.context_window
             assert fed[id(model.params)] == stream
+
+
+@pytest.mark.parametrize(
+    "decode", [DecodeConfig(), DecodeConfig(mode="top_k", k=4)], ids=["greedy", "top_k"]
+)
+def test_decoding_never_runs_the_training_pass(trained, classifier, monkeypatch, decode):
+    agent, user = trained["two_layers"]
+    config = SelfChatConfig(seeds=SEEDS, turns=4, decode=decode, rng_seed=5)
+    # openers of different lengths, so that feeding them runs a lone row too
+    contexts = [agent.vocab.encode(tokenize(text)) for text in ("sad", "happy wonderful joy", "plain day")]
+    rngs = lambda: [np.random.default_rng(i) for i in range(len(contexts))]
+    dialogs = self_chat(agent, user, config, classifier)
+    replies = generate_batch(agent, contexts, decode, eou_id=agent.vocab.id(EOU), rngs=rngs())
+
+    def training_pass(*args, **kwargs):
+        raise AssertionError("decoding ran the training pass")
+
+    monkeypatch.setattr(model_mod, "_forward_cached", training_pass)
+    assert self_chat(agent, user, config, classifier) == dialogs
+    assert generate_batch(agent, contexts, decode, eou_id=agent.vocab.id(EOU), rngs=rngs()) == replies
 
 
 @pytest.mark.parametrize("threads", [1, 3])
