@@ -17,7 +17,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from emoguide.corpus import WORD_BANK, _sample_utterance, write_jsonl  # noqa: E402
+from emoguide.corpus import WORD_BANK, _sample_words, write_jsonl  # noqa: E402
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "emoguide" / "data"
 
@@ -41,7 +41,7 @@ def seeds_records() -> list[dict]:
         for _ in range(count):
             n_words = int(rng.integers(3, 8))
             records.append(
-                {"text": _sample_utterance(rng, label, n_words, 0.0), "polarity": label}
+                {"text": " ".join(_sample_words(rng, label, n_words, 0.0)), "polarity": label}
             )
     order = rng.permutation(len(records))
     return [records[i] for i in order]

@@ -2,6 +2,8 @@
 
 Each returns its value or raises ValueError("<name> must be <kind>, got
 <value>").  A bool (JSON ``true``) is neither an integer nor a real here.
+``_unchecked`` is the one way around a record's checks, for records computed
+from checked parts.
 """
 
 from __future__ import annotations
@@ -50,6 +52,21 @@ def check_tuple(name: str, value, n: int) -> tuple:
     if not isinstance(value, (tuple, list)) or len(value) != n:
         raise ValueError(f"{name} must be {n} values, got {value!r}")
     return tuple(value)
+
+
+def _unchecked(cls, *values):
+    """A ``cls`` record holding ``values``, one per slot in slot order, built
+    without running ``__post_init__``.
+
+    ``cls`` is a slotted frozen dataclass.  Call this only where every value
+    was computed from values its checks already passed, so the record is one
+    the checked constructor would accept; never on input from outside the
+    program.  ``tests/test_package.py`` pins the call sites.
+    """
+    record = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        object.__setattr__(record, name, value)
+    return record
 
 
 def check_token_ids(name: str, ids, vocab_size: int) -> np.ndarray:

@@ -40,7 +40,15 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from .checks import INT64_MAX, MAX_UTTERANCES, MAX_WORDS, check_int, check_real, check_tuple
+from .checks import (
+    INT64_MAX,
+    MAX_UTTERANCES,
+    MAX_WORDS,
+    _unchecked,
+    check_int,
+    check_real,
+    check_tuple,
+)
 from .polarity import NEGATIVE, NEUTRAL, POSITIVE, PolarityClassifier, PolarityDistribution
 from .resources import open_output, parse_json, read_lines
 from .vad import VadVector, tokenize, utterance_mean_vad
@@ -225,7 +233,9 @@ def _agent_band(traj: str, start: str, rho: float) -> str:
 _SOFTEN = {"very_positive": "positive", "positive": "neutral", "negative": "neutral", "neutral": "neutral"}
 
 
-def _sample_utterance(rng, band: str, n_words: int, function_frac: float) -> str:
+def _sample_words(rng, band: str, n_words: int, function_frac: float) -> list[str]:
+    """``n_words`` bank words from ``band``, each a function word instead
+    with probability ``function_frac``."""
     words = []
     bank = WORD_BANK[band]
     fn = WORD_BANK["function"]
@@ -234,11 +244,19 @@ def _sample_utterance(rng, band: str, n_words: int, function_frac: float) -> str
             words.append(fn[int(rng.integers(len(fn)))][0])
         else:
             words.append(bank[int(rng.integers(len(bank)))][0])
-    return " ".join(words)
+    return words
 
 
 def synthesize_corpus(gen: SynthConfig, seed: int) -> list[Dialog]:
-    """Deterministic synthetic corpus; every dialog is valid by construction."""
+    """Deterministic synthetic corpus; every dialog is valid by construction.
+
+    The records are therefore built without their checks.  Each utterance's
+    speaker is ``USER`` or ``AGENT``, its text is its bank words joined by
+    spaces and its tokens are those words, which equals ``tokenize(text)``
+    because every bank word is its own (interned) token.  Each dialog opens
+    with the user, alternates and has an odd length, so it also closes with
+    the user.
+    """
     rng = np.random.default_rng(seed)
     n = gen.num_dialogs
     counts = apportion(gen.polarity_mix, n)
@@ -278,8 +296,9 @@ def synthesize_corpus(gen: SynthConfig, seed: int) -> list[Dialog]:
                 if rng.random() < 0.15:
                     band = _SOFTEN[band]
                 frac, speaker = 0.25, USER
-            utterances.append(Utterance(speaker, _sample_utterance(rng, band, n_words, frac)))
-        dialogs.append(Dialog(source_id=f"synth-{i:05d}-{traj}", utterances=tuple(utterances)))
+            words = _sample_words(rng, band, n_words, frac)
+            utterances.append(_unchecked(Utterance, speaker, " ".join(words), tuple(words)))
+        dialogs.append(_unchecked(Dialog, f"synth-{i:05d}-{traj}", tuple(utterances)))
     return dialogs
 
 

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .checks import check_real
+from .checks import _unchecked, check_real
 from .vad import VadLexicon
 
 POSITIVE = "positive"
@@ -70,7 +70,13 @@ def classify_polarity(
     e_neg = math.exp(z_neg - m)
     e_neu = math.exp(z_neu - m)
     denom = e_pos + e_neg + e_neu
-    return PolarityDistribution(e_pos / denom, e_neg / denom, e_neu / denom)
+    dist = (e_pos / denom, e_neg / denom, e_neu / denom)
+    # a softmax of finite logits is finite, non-negative and sums to 1; a
+    # temperature small enough to overflow z_pos makes NaNs, which the
+    # checked constructor rejects
+    if math.isfinite(z_pos):
+        return _unchecked(PolarityDistribution, *dist)
+    return PolarityDistribution(*dist)
 
 
 def polarity_label(dist: PolarityDistribution) -> str:

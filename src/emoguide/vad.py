@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .checks import check_real
+from .checks import _unchecked, check_real
 from .resources import read_lines
 
 _WORD_RE = re.compile(r"[\w']+")
@@ -177,5 +177,7 @@ def utterance_mean_vad(lexicon: VadLexicon, tokens: Sequence[str]) -> VadVector:
         arousal += vec.arousal
         dominance += vec.dominance
     n = len(tokens)
-    return VadVector(valence / n, arousal / n, dominance / n)
+    # each sum adds n values in [0, 1], rounding monotonically, so each mean
+    # is a float in [0, 1]: the checks could not fail
+    return _unchecked(VadVector, valence / n, arousal / n, dominance / n)
 

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import operator
 import os
 import stat
 import threading
@@ -37,7 +38,7 @@ from emoguide.corpus import (
 from emoguide.polarity import ClassifierParams, PolarityClassifier
 from emoguide.config import default_run_config
 from emoguide.resources import OFFENSIVE_FILE, data_path, read_lines
-from emoguide.vad import VadVector
+from emoguide.vad import VadVector, tokenize
 from emoguide.vocab import AGENT, USER
 
 
@@ -77,6 +78,13 @@ def test_packaged_lexicon_matches_word_bank(lexicon):
 def test_bank_words_are_distinct_across_bands():
     words = [w for w, *_ in BANK_RECORDS]
     assert len(words) == len(set(words))
+
+
+def test_every_bank_word_is_its_own_interned_token():
+    # synthesis takes a bank word as its own token without tokenizing it
+    for word, *_ in BANK_RECORDS:
+        (token,) = tokenize(word)
+        assert token is word, word
 
 
 # ---------------------------------------------------------- apportion
@@ -143,6 +151,28 @@ def test_synthesis_trajectory_tags():
     assert tags.count("uplift") == 50
     assert tags.count("abrupt") == 20
     assert tags.count("stuck") == 30
+
+
+@pytest.mark.parametrize(
+    "config, seed",
+    [
+        (SynthConfig(num_dialogs=60), 1),
+        (SynthConfig(num_dialogs=60), 2),
+        (SynthConfig(num_dialogs=20, turns_range=(3, 41)), 3),
+        (SynthConfig(num_dialogs=20, turns_range=(3, 41), min_words=1, max_words=40), 4),
+        (SynthConfig(num_dialogs=40, polarity_mix=(0, 0, 1), trajectory_mix=(0, 1, 0), max_words=25), 5),
+    ],
+)
+def test_synthesized_records_equal_their_checked_round_trip(config, seed):
+    # synthesis builds its records without the checks; the checked
+    # constructors must rebuild the same records, tokens included, from them
+    for dialog in synthesize_corpus(config, seed):
+        checked = dialog_from_record(json.loads(json.dumps(dialog_to_record(dialog))))
+        assert checked == dialog and dialog.utterances[-1].speaker is USER
+        for made, rebuilt in zip(dialog.utterances, checked.utterances, strict=True):
+            assert made.speaker is rebuilt.speaker
+            assert made.tokens == rebuilt.tokens
+            assert all(map(operator.is_, made.tokens, rebuilt.tokens))
 
 
 def test_synth_config_validation():

@@ -10,9 +10,14 @@ definition that only tests use belongs with the tests (see ``oracles.py``).
 The check goes by name, not by type: a method escapes it while another
 definition of the same name is used, as ``VadMatrix.coverage`` did beside
 ``VadLexicon.coverage``.
+
+Records are built around their checks in one helper, ``checks._unchecked``,
+and only where every field was computed from checked values; a second test
+pins its call sites, so no reader of outside input can reach it.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import emoguide
@@ -82,3 +87,42 @@ def test_every_package_definition_is_exported_or_used_outside_tests():
                     and node.name not in used
                 ]
     assert not unused, f"defined in src/emoguide but used only by tests, or not at all: {unused}"
+
+
+# (module, enclosing function, record class) of every call of the helper
+UNCHECKED_SITES = Counter(
+    {
+        ("vad", "utterance_mean_vad", "VadVector"): 1,
+        ("polarity", "classify_polarity", "PolarityDistribution"): 1,
+        ("corpus", "synthesize_corpus", "Utterance"): 1,
+        ("corpus", "synthesize_corpus", "Dialog"): 1,
+    }
+)
+
+
+def _uses(node: ast.AST, module: str, scope: str, out: list) -> None:
+    """(module, enclosing function, node) for every node under ``node``."""
+    if isinstance(node, FUNCTIONS):
+        scope = node.name
+    out.append((module, scope, node))
+    for child in ast.iter_child_nodes(node):
+        _uses(child, module, scope, out)
+
+
+def test_records_skip_their_checks_only_at_the_known_sites():
+    nodes: list = []
+    for path in sorted((ROOT / "src" / "emoguide").glob("*.py")):
+        _uses(ast.parse(path.read_text(encoding="utf-8")), path.stem, "", nodes)
+    new = [(m, f) for m, f, n in nodes if isinstance(n, ast.Attribute) and n.attr == "__new__"]
+    assert new == [("checks", "_unchecked")]
+    calls = Counter(
+        (m, f, ast.unparse(n.args[0]))
+        for m, f, n in nodes
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "_unchecked"
+    )
+    assert calls == UNCHECKED_SITES
+    # the name is only imported, defined and called: never passed on or aliased
+    named = sum(isinstance(n, ast.Name) and n.id == "_unchecked" for _, _, n in nodes)
+    assert named == calls.total()
+    assert not any(isinstance(n, ast.Attribute) and n.attr == "_unchecked" for _, _, n in nodes)
+    assert not any(isinstance(n, ast.alias) and n.name == "_unchecked" and n.asname for _, _, n in nodes)

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emoguide.config import default_run_config
 from emoguide.polarity import (
     ClassifierParams,
     PolarityClassifier,
@@ -136,3 +138,36 @@ def test_classifier_wrapper_matches_function():
     clf = PolarityClassifier(lex, KAPPA0)
     assert clf(tokens(2)) == classify_polarity(lex, tokens(2), KAPPA0)
     assert clf.label(tokens(2)) == "positive"
+
+
+PACKAGED = default_run_config().lexicon()
+# listed words, and tokens the lexicon lacks (mostly), which take the midpoint
+LISTED_OR_UNKNOWN = st.one_of(st.sampled_from(sorted(PACKAGED.entries)), st.text(min_size=1, max_size=6))
+# the logit overflows only below 0.5 / max float, since |mean valence - 0.5| <= 0.5
+OVERFLOWING_TEMPERATURE = 0.5 / sys.float_info.max
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(LISTED_OR_UNKNOWN, min_size=1, max_size=60),
+    st.one_of(st.floats(1e-3, 10.0), st.floats(0.0, 1e-300, exclude_min=True)),
+    st.floats(-1e6, 1e6),
+)
+def test_a_distribution_is_one_the_checks_accept(tokens, temperature, bias):
+    # classify_polarity builds its distribution without the checks
+    params = ClassifierParams(temperature=temperature, neutral_bias=bias)
+    try:
+        dist = classify_polarity(PACKAGED, tokens, params)
+    except ValueError:
+        assert temperature < OVERFLOWING_TEMPERATURE
+        return
+    checked = PolarityDistribution(*dist.as_tuple())
+    assert checked == dist
+    assert [type(p) for p in dist.as_tuple()] == [float] * 3
+
+
+def test_a_temperature_that_overflows_the_logit_is_rejected():
+    params = ClassifierParams(temperature=OVERFLOWING_TEMPERATURE / 4)
+    with pytest.raises(ValueError, match="must be a finite real"):
+        classify_polarity(PACKAGED, ["happy"], params)
+    classify_polarity(PACKAGED, ["the", "unlisted"], params)  # a zero deviation does not overflow

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emoguide.config import default_run_config
 from emoguide.vad import (
     NEUTRAL_BASELINE,
     LexiconFormatError,
@@ -161,6 +162,22 @@ def test_utterance_mean_vad_has_the_bits_of_the_array_formula(vads, picks):
     got = utterance_mean_vad(lex, tokens)
     assert all(type(x) is float for x in (got.valence, got.arousal, got.dominance))
     assert got.to_array().tobytes() == _numpy_mean_vad(lex, tokens).tobytes()
+
+
+PACKAGED = default_run_config().lexicon()
+# listed words, and tokens the lexicon lacks (mostly), which take the midpoint
+LISTED_OR_UNKNOWN = st.one_of(st.sampled_from(sorted(PACKAGED.entries)), st.text(min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(LISTED_OR_UNKNOWN, min_size=1, max_size=60))
+def test_a_mean_is_a_vector_the_checks_accept(tokens):
+    # utterance_mean_vad builds its vector without the checks
+    mean = utterance_mean_vad(PACKAGED, tokens)
+    values = (mean.valence, mean.arousal, mean.dominance)
+    checked = VadVector(*values)
+    assert checked == mean
+    assert [type(x) for x in values] == [float] * 3
 
 
 def test_mean_is_expected_vad_under_uniform_weights():
