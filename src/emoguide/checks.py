@@ -44,7 +44,14 @@ def check_real(name: str, value, low=-math.inf, high=math.inf, *, low_open=False
         return value
     lo = "(" if low_open or low == -math.inf else "["
     hi = ")" if high_open or high == math.inf else "]"
-    raise ValueError(f"{name} must be a finite real in {lo}{low:g}, {high:g}{hi}, got {value!r}")
+    interval = f"{lo}{_bound(low)}, {_bound(high)}{hi}"
+    raise ValueError(f"{name} must be a finite real in {interval}, got {value!r}")
+
+
+def _bound(x: float) -> str:
+    """``x`` in short form (``0``, ``inf``) where that reads back as ``x``, else in full."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
 
 
 def check_tuple(name: str, value, n: int) -> tuple:

@@ -170,7 +170,7 @@ def cmd_selfchat(args, config: RunConfig) -> int:
     user = load_checkpoint(args.user_checkpoint)
     seeds = load_seed_utterances(config.path("seeds"))
     chat_config = config.selfchat_config(seeds)
-    dialogs = self_chat(agent, user, chat_config, config.classifier(), threads=args.threads)
+    dialogs = self_chat(agent, user, chat_config, config.classifier())
     save_corpus(
         args.output,
         dialogs,
@@ -275,10 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     chat.add_argument("user_checkpoint")
     chat.add_argument("config")
     common(chat)
-    chat.add_argument(
-        "--threads", type=_positive_int, default=1,
-        help="dialog groups decoded in parallel (1 = one lockstep batch, the fastest)",
-    )
     chat.set_defaults(handler=cmd_selfchat)
 
     ev = sub.add_parser("eval", help="score a dialog file")

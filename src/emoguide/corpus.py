@@ -58,7 +58,8 @@ T = TypeVar("T")
 
 # ------------------------------------------------------------- word bank
 
-# (word, valence, arousal, dominance); bands are disjoint valence ranges.
+# (word, valence, arousal, dominance); bands are disjoint valence ranges.  A
+# dialog's starting polarity label is also the name of its opener's band.
 WORD_BANK: dict[str, list[tuple[str, float, float, float]]] = {
     "negative": [
         ("sad", 0.10, 0.33, 0.26), ("awful", 0.08, 0.52, 0.28),
@@ -110,9 +111,6 @@ WORD_BANK: dict[str, list[tuple[str, float, float, float]]] = {
         ("it", 0.5, 0.5, 0.5), ("still", 0.5, 0.5, 0.5),
     ],
 }
-
-START_BAND = {NEGATIVE: "negative", NEUTRAL: "neutral", POSITIVE: "positive"}
-TRAJECTORIES = ("uplift", "abrupt", "stuck")
 
 
 def bank_words() -> list[str]:
@@ -277,16 +275,16 @@ def synthesize_corpus(gen: SynthConfig, seed: int) -> list[Dialog]:
         start, traj = start_labels[i], trajectories[i]
         n_utts = first_odd + 2 * int(rng.integers(n_odd))
         utterances = []
-        prev_agent_band = START_BAND[start]
+        prev_agent_band = start
         for pos in range(1, n_utts + 1):
             rho = (pos - 1) / (n_utts - 1)
             n_words = int(rng.integers(gen.min_words, gen.max_words + 1))
             if pos == 1:
-                band, frac, speaker = START_BAND[start], 0.0, USER
+                band, frac, speaker = start, 0.0, USER
             elif pos == n_utts:
                 band, frac, speaker = "very_positive", 0.0, USER
             elif pos % 2 == 0:
-                band = _agent_band(traj, START_BAND[start], rho)
+                band = _agent_band(traj, start, rho)
                 if rng.random() < 0.1:
                     band = _SOFTEN[band]
                 prev_agent_band = band
@@ -413,9 +411,12 @@ class TrainingExample:
     context: tuple[Utterance, ...]
     target_speaker: str
     target: tuple[str, ...]
-    context_turns: int
     u1_mean_vad: VadVector
     polarity: PolarityDistribution
+
+    @property
+    def context_turns(self) -> int:
+        return len(self.context)
 
 
 def _examples(
@@ -434,7 +435,6 @@ def _examples(
             context=utterances[:k],
             target_speaker=speaker,
             target=utt.tokens,
-            context_turns=k,
             u1_mean_vad=u1_mean,
             polarity=polarity,
         )

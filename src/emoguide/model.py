@@ -2,8 +2,8 @@
 
 One (configurably stacked) GRU layer over token embeddings with a linear
 readout to vocabulary logits.  Everything is plain numpy with hand-written
-forward/backward passes; parameters are float32 by default (pass
-``dtype=np.float64`` at init for gradient-checking).  Identical seeds give
+forward/backward passes; parameters are float32 (``Model.astype`` gives a
+float64 copy for gradient-checking).  Identical seeds give
 bit-identical parameters.  Training and decoding share one GRU cell: z and
 r take one recurrent GEMM and one in-place tanh-form sigmoid, and the gates
 are joined only while the model runs, so parameters and checkpoints stay
@@ -127,23 +127,18 @@ def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def init_model(
-    config: ModelConfig,
-    seed: int,
-    dtype=np.float32,
-    vocab: Vocab | None = None,
-) -> Model:
-    """Seeded uniform init, each tensor scaled by 1/sqrt(fan_in); ``out_b`` starts at 0."""
+def init_model(config: ModelConfig, seed: int, vocab: Vocab | None = None) -> Model:
+    """Seeded float32 uniform init, each tensor scaled by 1/sqrt(fan_in); ``out_b`` starts at 0."""
     if vocab is not None and len(vocab) != config.vocab_size:
         raise ValueError(f"vocab size {len(vocab)} != config.vocab_size {config.vocab_size}")
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
     for name, shape in _param_shapes(config).items():
         if name == "out_b":
-            params[name] = np.zeros(shape, dtype=dtype)
+            params[name] = np.zeros(shape, dtype=np.float32)
             continue
         bound = 1.0 / math.sqrt(config.embed_dim if name == "emb" else shape[0])
-        params[name] = rng.uniform(-bound, bound, size=shape).astype(dtype)
+        params[name] = rng.uniform(-bound, bound, size=shape).astype(np.float32)
     return Model(config=config, params=params, step_count=0, vocab=vocab)
 
 
@@ -402,9 +397,10 @@ def _choose(logits: np.ndarray, decode: DecodeConfig, banned: np.ndarray, rngs) 
         k = min(decode.k, int(np.sum(np.isfinite(row))))
         top = np.argpartition(row, -k)[-k:]
         top = top[np.argsort(row[top])[::-1]]  # deterministic order
-        scaled = row[top] / decode.temperature
-        scaled -= scaled.max()
-        probs = np.exp(scaled)
+        # the best logit is subtracted before the division, so a tiny temperature
+        # sends the others to -inf (probability 0), never to inf - inf
+        with np.errstate(over="ignore"):
+            probs = np.exp((row[top] - row[top[0]]) / decode.temperature)
         probs /= probs.sum()
         choices.append(rng.choice(top, p=probs))
     return np.array(choices, dtype=np.int64)

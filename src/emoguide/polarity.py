@@ -15,6 +15,7 @@ v -> 1 - v swap p_pos and p_neg bit-for-bit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -49,7 +50,9 @@ class ClassifierParams:
     neutral_bias: float = 1.0
 
     def __post_init__(self) -> None:
-        check_real("temperature", self.temperature, 0.0, low_open=True)
+        # at least the smallest normal float: |mean valence - 0.5| <= 0.5, so
+        # the logits ±dev / temperature are then finite for every utterance
+        check_real("temperature", self.temperature, sys.float_info.min)
         check_real("neutral_bias", self.neutral_bias)
 
 
@@ -70,13 +73,8 @@ def classify_polarity(
     e_neg = math.exp(z_neg - m)
     e_neu = math.exp(z_neu - m)
     denom = e_pos + e_neg + e_neu
-    dist = (e_pos / denom, e_neg / denom, e_neu / denom)
-    # a softmax of finite logits is finite, non-negative and sums to 1; a
-    # temperature small enough to overflow z_pos makes NaNs, which the
-    # checked constructor rejects
-    if math.isfinite(z_pos):
-        return _unchecked(PolarityDistribution, *dist)
-    return PolarityDistribution(*dist)
+    # a softmax of finite logits is finite, non-negative and sums to 1
+    return _unchecked(PolarityDistribution, e_pos / denom, e_neg / denom, e_neu / denom)
 
 
 def polarity_label(dist: PolarityDistribution) -> str:

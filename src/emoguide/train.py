@@ -6,7 +6,8 @@ later turn's stream in the same dialog.  The examples whose streams nest are
 linked into one chain, once per ``train``/``evaluate_nll`` call; the check
 compares the streams themselves, so a stream that ``assemble_stream``
 truncated, which does not continue the earlier turns', starts a chain of its
-own.
+own.  ``evaluate_nll`` runs its examples as packed batches of ``EVAL_CHUNK``
+(64) in order, with no draw and no update.
 
 Each dialog's examples are split, once per ``train`` call, into consecutive
 runs of at most ``batch_size``, so a batch can hold every run whole.  Each
@@ -45,6 +46,7 @@ from .vad import VadLexicon, VadMatrix, align_vocab
 from .vocab import Vocab, assemble_stream, utterance_segment
 
 ABLATIONS = ("nll_only", "ner_only_composite", "peg_only_composite", "full")
+EVAL_CHUNK = 64  # examples per packed batch in evaluate_nll
 
 
 class TrainingDivergedError(RuntimeError):
@@ -294,22 +296,19 @@ def train(
     return model, log
 
 
-def evaluate_nll(
-    model: Model, examples: Sequence[TrainingExample], chunk_size: int = 64
-) -> float:
+def evaluate_nll(model: Model, examples: Sequence[TrainingExample]) -> float:
     """Mean per-example NLL over response steps (no parameter updates).
 
-    Each chunk of ``chunk_size`` examples runs as one packed batch, its
+    Each chunk of ``EVAL_CHUNK`` examples runs as one packed batch, its
     examples that nest sharing a stream as in training."""
-    check_int("chunk_size", chunk_size)
     if model.vocab is None:
         raise ValueError("model needs an attached vocabulary")
     if len(examples) == 0:
         raise ValueError("no examples to evaluate")
     encoded, _ = _encode(examples, model.vocab, model.config.context_window)
     total = 0.0
-    for lo in range(0, len(encoded), chunk_size):
-        _, ids, batch_sizes, readout, targets = _pack_batch(encoded[lo : lo + chunk_size])
+    for lo in range(0, len(encoded), EVAL_CHUNK):
+        _, ids, batch_sizes, readout, targets = _pack_batch(encoded[lo : lo + EVAL_CHUNK])
         logits, _ = _forward_cached(model, ids, batch_sizes, readout)
         total += nll_loss(logits.astype(np.float64), targets)
     return total / len(encoded)

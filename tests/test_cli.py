@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import resource
 import struct
 import subprocess
 import sys
@@ -227,16 +228,6 @@ def test_selfchat_deterministic_and_counts(workdir):
     assert meta["agent_model"] and meta["user_model"]
 
 
-def test_selfchat_threads_match_single(workdir):
-    config = workdir / "chat_config.json"
-    agent, user = str(workdir / "agent.ckpt"), str(workdir / "user.ckpt")
-    single = workdir / "chats_t1.jsonl"
-    multi = workdir / "chats_t3.jsonl"
-    assert main(["selfchat", agent, user, str(config), "-o", str(single)]) == 0
-    assert main(["selfchat", agent, user, str(config), "-o", str(multi), "--threads", "3"]) == 0
-    assert single.read_bytes() == multi.read_bytes()
-
-
 def test_eval_report(workdir, capsys):
     chats = workdir / "chats_a.jsonl"
     a = workdir / "eval_a.json"
@@ -304,8 +295,6 @@ def test_unknown_subcommand_exits_2(capsys):
         ["gradcheck", "run.json", "--cases", "-1"],
         ["gradcheck", "run.json", "--cases", "abc"],
         ["gradcheck", "run.json", "--seed", "x"],
-        ["selfchat", "a.ckpt", "u.ckpt", "run.json", "-o", "x.jsonl", "--threads", "0"],
-        ["selfchat", "a.ckpt", "u.ckpt", "run.json", "-o", "x.jsonl", "--threads", "2.5"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -370,6 +359,8 @@ INVALID_CONFIGS = {
     "beta_true": '{"objective": {"beta": true}}',
     "decode_temperature_true": '{"selfchat": {"decode": {"temperature": true}}}',
     "classifier_temperature_true": '{"classifier": {"temperature": true}}',
+    # a subnormal temperature would overflow the polarity logit
+    "classifier_temperature_subnormal": '{"classifier": {"temperature": 1e-310}}',
     "neutral_bias_true": '{"classifier": {"neutral_bias": true}}',
     "first_utt_threshold_true": '{"filters": {"first_utt_threshold": true}}',
     "last_utt_pos_threshold_true": '{"filters": {"last_utt_pos_threshold": true}}',
@@ -398,6 +389,8 @@ def test_any_invalid_config_section_exits_2_with_one_line(tmp_path, capsys, case
     assert main(["synth", str(bad), "-o", str(tmp_path / "c.jsonl")]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith(f"config error: {bad}: "), err
+    if case.startswith("classifier_temperature"):
+        assert "temperature must be" in err, err
 
 
 def test_missing_inputs_exit_1(workdir, tmp_path, capsys):
@@ -531,15 +524,32 @@ def test_input_that_is_not_utf8_names_the_file_and_line(workdir, tmp_path, capsy
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {bad}: line 2: not UTF-8"), err
 
 
-def test_config_too_large_to_allocate_exits_1_with_one_line(tmp_path, capsys):
-    # a valid int64 that passes the config checks; synthesize_corpus then asks
-    # for a label list of ~1.5e18 items, which CPython refuses before allocating
+ADDRESS_SPACE_CAP = 1536 * 2**20  # bytes; a synth that fills its lists hits it and fails
+
+
+def test_config_too_large_to_allocate_exits_1_with_one_line(tmp_path):
+    """A valid int64 that passes the config checks; synthesize_corpus then asks
+    for a label list of ~1.5e18 items, which CPython refuses before allocating.
+    The run is a child process with its address space capped, so a synthesizer
+    that allocates instead fails this test, and does not take the suite down."""
     config = tmp_path / "huge.json"
     config.write_text(json.dumps({"synth": {"num_dialogs": 2**62}}))
-    out = tmp_path / "c.jsonl"
-    assert main(["synth", str(config), "-o", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err == "error: out of memory\n"
+    out, err = tmp_path / "c.jsonl", tmp_path / "stderr.txt"
+    src = Path(objective.__file__).parents[1]  # the directory that holds the package under test
+    cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP))
+    with open(err, "wb") as stderr:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "emoguide.cli", "synth", str(config), "-o", str(out)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=subprocess.DEVNULL,
+            stderr=stderr,
+            preexec_fn=cap,
+        )
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+    assert child.returncode == 1
+    assert err.read_text() == "error: out of memory\n"
+    assert usage.ru_maxrss < 200 * 1024  # KiB: the failure comes before any large allocation
     assert not out.exists()
 
 

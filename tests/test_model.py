@@ -645,6 +645,21 @@ def test_top_k_temperature_limit_is_greedy():
     assert cold == greedy
 
 
+@pytest.mark.parametrize("temperature", [1e-310, 5e-324])
+def test_top_k_at_a_subnormal_temperature_is_greedy(temperature):
+    # logit differences over such a temperature overflow to -inf: the draw must
+    # still be the best token, not a NaN distribution
+    m = init_model(TINY, seed=11)
+    contexts = [[1, 2, 4], [5], [2, 6, 1, 3], [1, 4, 5, 6, 1]]
+    kwargs = dict(eou_id=3, forbidden_ids=[0])
+    greedy = generate_batch(m, contexts, DecodeConfig(mode="greedy", max_tokens=6), **kwargs)
+    cold = DecodeConfig(mode="top_k", k=4, temperature=temperature, max_tokens=6)
+    rngs = [np.random.default_rng(i) for i in range(len(contexts))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert generate_batch(m, contexts, cold, rngs=rngs, **kwargs) == greedy
+
+
 def test_top_k_requires_rng():
     m = init_model(TINY, seed=5)
     with pytest.raises(ValueError):

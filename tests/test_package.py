@@ -9,7 +9,10 @@ definition that only tests use belongs with the tests (see ``oracles.py``).
 
 The check goes by name, not by type: a method escapes it while another
 definition of the same name is used, as ``VadMatrix.coverage`` did beside
-``VadLexicon.coverage``.
+``VadLexicon.coverage``.  Two more checks go by name the same way: every
+module-level constant is exported or read somewhere other than its own
+assignment, and every defaulted parameter of a module-level function or of a
+method is passed, by keyword or by position, by some call in those trees.
 
 Records are built around their checks in one helper, ``checks._unchecked``,
 and only where every field was computed from checked values; a second test
@@ -36,7 +39,7 @@ def _names(node: ast.AST, strings: bool) -> set[str]:
     constant (the harness names what it wraps by string)."""
     names = set()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
             names.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             names.add(sub.attr)
@@ -67,14 +70,23 @@ def _references(path: Path, strings: bool) -> set[str]:
     return found
 
 
+MODULES = sorted((ROOT / "src" / "emoguide").glob("*.py"))
+# the trees whose code may use the package: the package itself, the benchmark
+# harness and the scripts
+USERS = [*MODULES, *(ROOT / "perfbench").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+
+
+def _used() -> set[str]:
+    used = set().union(*(_references(path, strings=False) for path in MODULES))
+    for path in USERS[len(MODULES) :]:
+        used |= _references(path, strings=True)
+    return used | set(emoguide.__all__)
+
+
 def test_every_package_definition_is_exported_or_used_outside_tests():
-    modules = sorted((ROOT / "src" / "emoguide").glob("*.py"))
-    used = set().union(*(_references(path, strings=False) for path in modules))
-    for tree in ("perfbench", "scripts"):
-        used |= set().union(*(_references(p, strings=True) for p in (ROOT / tree).glob("*.py")))
-    used |= set(emoguide.__all__)
+    used = _used()
     unused = []
-    for path in modules:
+    for path in MODULES:
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(stmt, DEFINITIONS) and stmt.name not in used and not _dunder(stmt.name):
                 unused.append(f"{path.stem}.{stmt.name}")
@@ -87,6 +99,89 @@ def test_every_package_definition_is_exported_or_used_outside_tests():
                     and node.name not in used
                 ]
     assert not unused, f"defined in src/emoguide but used only by tests, or not at all: {unused}"
+
+
+def test_every_module_constant_is_exported_or_read():
+    used = _used()
+    unread = []
+    for path in MODULES:
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                unread += [
+                    f"{path.stem}.{node.id}"
+                    for target in targets
+                    for node in ast.walk(target)
+                    if isinstance(node, ast.Name) and node.id not in used and not _dunder(node.id)
+                ]
+    assert not unread, f"assigned in src/emoguide but read nowhere, or only by tests: {unread}"
+
+
+# defaulted parameters that no call in the package, the harness or the scripts sets
+UNSET_BY_DESIGN = {
+    ("cli", "main", "argv"): "the entry point: the console script calls it with none",
+    # the one-context mirror of generate_batch, whose keywords the package does set
+    ("model", "generate", "decode"): "mirrors generate_batch",
+    ("model", "generate", "eou_id"): "mirrors generate_batch",
+    ("model", "generate", "forbidden_ids"): "mirrors generate_batch",
+    ("model", "generate", "rng"): "mirrors generate_batch",
+    ("objective", "finite_diff_check", "eps"): "the model gradient tests difference at 1e-6",
+}
+
+
+def _passed() -> dict[str, tuple[int, set]]:
+    """For each called name, the most positional arguments any call passes and
+    the keywords the calls pass; a ``*`` or ``**`` argument passes them all."""
+    passed: dict[str, tuple[int, set]] = {}
+    for path in USERS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call) or not isinstance(node.func, (ast.Name, ast.Attribute)):
+                continue
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            count = float("inf") if starred else len(node.args)
+            keywords = {kw.arg for kw in node.keywords}
+            most, known = passed.get(name, (0, set()))
+            passed[name] = (max(most, count), known | keywords)
+    return passed
+
+
+def _defaulted(function: ast.FunctionDef, method: bool):
+    """(name, positional index or None) of each defaulted parameter; a
+    method's index leaves out ``self`` or ``cls``."""
+    args = function.args
+    positional = [*args.posonlyargs, *args.args]
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in function.decorator_list)
+    skip = int(method and not static)
+    first = len(positional) - len(args.defaults)
+    for index, arg in enumerate(positional[first:], start=first):
+        yield arg.arg, index - skip
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    passed = _passed()
+    unset = set()
+    for path in MODULES:
+        functions = []
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, FUNCTIONS):
+                functions.append((stmt, False))
+            elif isinstance(stmt, ast.ClassDef):
+                functions += [(node, True) for node in stmt.body if isinstance(node, FUNCTIONS)]
+        for function, method in functions:
+            if _dunder(function.name):
+                continue
+            most, keywords = passed.get(function.name, (0, set()))
+            for name, index in _defaulted(function, method):
+                by_position = index is not None and most > index
+                if not (by_position or name in keywords or None in keywords):
+                    unset.add((path.stem, function.name, name))
+    unexpected = sorted(".".join(key) for key in unset - UNSET_BY_DESIGN.keys())
+    assert not unexpected, f"defaulted parameters that no call sets: {unexpected}"
+    assert unset == UNSET_BY_DESIGN.keys(), "an exemption above is set by a call now: drop it"
 
 
 # (module, enclosing function, record class) of every call of the helper

@@ -150,24 +150,21 @@ OVERFLOWING_TEMPERATURE = 0.5 / sys.float_info.max
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(LISTED_OR_UNKNOWN, min_size=1, max_size=60),
-    st.one_of(st.floats(1e-3, 10.0), st.floats(0.0, 1e-300, exclude_min=True)),
-    st.floats(-1e6, 1e6),
+    st.one_of(st.floats(1e-3, 10.0), st.floats(sys.float_info.min, 1e-300)),
+    st.one_of(st.floats(-1e6, 1e6), st.floats(allow_nan=False, allow_infinity=False)),
 )
 def test_a_distribution_is_one_the_checks_accept(tokens, temperature, bias):
     # classify_polarity builds its distribution without the checks
     params = ClassifierParams(temperature=temperature, neutral_bias=bias)
-    try:
-        dist = classify_polarity(PACKAGED, tokens, params)
-    except ValueError:
-        assert temperature < OVERFLOWING_TEMPERATURE
-        return
+    dist = classify_polarity(PACKAGED, tokens, params)
     checked = PolarityDistribution(*dist.as_tuple())
     assert checked == dist
     assert [type(p) for p in dist.as_tuple()] == [float] * 3
 
 
 def test_a_temperature_that_overflows_the_logit_is_rejected():
-    params = ClassifierParams(temperature=OVERFLOWING_TEMPERATURE / 4)
-    with pytest.raises(ValueError, match="must be a finite real"):
-        classify_polarity(PACKAGED, ["happy"], params)
-    classify_polarity(PACKAGED, ["the", "unlisted"], params)  # a zero deviation does not overflow
+    assert OVERFLOWING_TEMPERATURE < sys.float_info.min
+    for temperature in (OVERFLOWING_TEMPERATURE / 4, sys.float_info.min / 2):
+        with pytest.raises(ValueError, match="temperature must be a finite real"):
+            ClassifierParams(temperature=temperature)
+    ClassifierParams(temperature=sys.float_info.min)

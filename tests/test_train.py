@@ -337,17 +337,13 @@ def test_evaluate_nll_improves(examples, vocab, lexicon):
     assert after < before
 
 
-def test_evaluate_nll_chunking_invariant(examples, vocab, lexicon):
+def test_evaluate_nll_chunking_invariant(examples, vocab, lexicon, monkeypatch):
     model = small_model(vocab, seed=4)
-    a = evaluate_nll(model, examples[:30], chunk_size=7)
-    b = evaluate_nll(model, examples[:30], chunk_size=30)
-    assert a == pytest.approx(b, rel=1e-6)
-
-
-@pytest.mark.parametrize("chunk_size", [-3, 0, 2.5])
-def test_evaluate_nll_rejects_a_bad_chunk_size(examples, vocab, chunk_size):
-    with pytest.raises(ValueError, match="chunk_size must be an integer >= 1"):
-        evaluate_nll(small_model(vocab, seed=4), examples[:3], chunk_size=chunk_size)
+    nlls = []
+    for chunk in (7, 30):
+        monkeypatch.setattr(train_mod, "EVAL_CHUNK", chunk)
+        nlls.append(evaluate_nll(model, examples[:30]))
+    assert nlls[0] == pytest.approx(nlls[1], rel=1e-6)
 
 
 def test_divergence_is_reported(examples, vocab, lexicon):
