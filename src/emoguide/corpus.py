@@ -231,17 +231,77 @@ def _agent_band(traj: str, start: str, rho: float) -> str:
 _SOFTEN = {"very_positive": "positive", "positive": "neutral", "negative": "neutral", "neutral": "neutral"}
 
 
+class _Draws:
+    """A PCG64 ``Generator``'s scalar ``random()`` and ``integers(k)``,
+    replayed in Python ints from its raw 64-bit words.
+
+    The words are fetched ``block`` at a time with ``random_raw``, so after
+    the first draw the ``Generator`` itself is ahead of the replay and must
+    not be drawn from again.  The results are numpy's, draw for draw:
+    ``random()`` is a word's top 53 bits times 2**-53; ``integers(k)`` takes
+    32-bit halves (low half first, the high half kept for the next call,
+    starting from the generator's own kept half) through Lemire's method
+    with its rejection loop, and ``integers(1)`` consumes nothing.  Only
+    1 <= k <= 2**32 is replayed: above that numpy draws 64 bits.
+    ``tests/test_corpus.py`` checks the replay against the installed numpy.
+    """
+
+    __slots__ = ("_next", "_half")
+
+    def __init__(self, rng: np.random.Generator, block: int):
+        bitgen = rng.bit_generator
+        state = bitgen.state
+        self._half = state["uinteger"] if state["has_uint32"] else None
+
+        def words():
+            while True:
+                yield from bitgen.random_raw(block).tolist()
+
+        self._next = words().__next__
+
+    def random(self) -> float:
+        return (self._next() >> 11) * 2.0**-53
+
+    def _half32(self) -> int:
+        """The next 32 bits: a kept high half, else a new word's low half."""
+        half = self._half
+        if half is None:
+            word = self._next()
+            self._half = word >> 32
+            return word & 0xFFFFFFFF
+        self._half = None
+        return half
+
+    def integers(self, k: int) -> int:
+        if not 1 <= k <= 1 << 32:
+            raise ValueError(f"can only replay integers(k) for 1 <= k <= 2**32, got {k}")
+        if k == 1:
+            return 0
+        m = self._half32() * k
+        if (m & 0xFFFFFFFF) < k:
+            threshold = (1 << 32) % k
+            while (m & 0xFFFFFFFF) < threshold:
+                m = self._half32() * k
+        return m >> 32
+
+
+_DRAW_BLOCK = 1024  # raw words fetched per random_raw call
+
+
 def _sample_words(rng, band: str, n_words: int, function_frac: float) -> list[str]:
     """``n_words`` bank words from ``band``, each a function word instead
-    with probability ``function_frac``."""
+    with probability ``function_frac``.
+
+    ``rng`` is a ``_Draws`` or a ``Generator``: both give the same words.
+    """
     words = []
     bank = WORD_BANK[band]
     fn = WORD_BANK["function"]
     for _ in range(n_words):
         if function_frac > 0.0 and rng.random() < function_frac:
-            words.append(fn[int(rng.integers(len(fn)))][0])
+            words.append(fn[rng.integers(len(fn))][0])
         else:
-            words.append(bank[int(rng.integers(len(bank)))][0])
+            words.append(bank[rng.integers(len(bank))][0])
     return words
 
 
@@ -267,34 +327,36 @@ def synthesize_corpus(gen: SynthConfig, seed: int) -> list[Dialog]:
     )
     start_labels = [start_labels[i] for i in rng.permutation(n)]
     trajectories = [trajectories[i] for i in rng.permutation(n)]
+    draws = _Draws(rng, _DRAW_BLOCK)
 
     first_odd, last = gen.turns_range[0] | 1, gen.turns_range[1]
     n_odd = (last - first_odd) // 2 + 1  # the odd utterance counts in turns_range
+    n_lengths = gen.max_words + 1 - gen.min_words
     dialogs = []
     for i in range(n):
         start, traj = start_labels[i], trajectories[i]
-        n_utts = first_odd + 2 * int(rng.integers(n_odd))
+        n_utts = first_odd + 2 * draws.integers(n_odd)
         utterances = []
         prev_agent_band = start
         for pos in range(1, n_utts + 1):
             rho = (pos - 1) / (n_utts - 1)
-            n_words = int(rng.integers(gen.min_words, gen.max_words + 1))
+            n_words = gen.min_words + draws.integers(n_lengths)
             if pos == 1:
                 band, frac, speaker = start, 0.0, USER
             elif pos == n_utts:
                 band, frac, speaker = "very_positive", 0.0, USER
             elif pos % 2 == 0:
                 band = _agent_band(traj, start, rho)
-                if rng.random() < 0.1:
+                if draws.random() < 0.1:
                     band = _SOFTEN[band]
                 prev_agent_band = band
                 frac, speaker = 0.25, AGENT
             else:
                 band = prev_agent_band
-                if rng.random() < 0.15:
+                if draws.random() < 0.15:
                     band = _SOFTEN[band]
                 frac, speaker = 0.25, USER
-            words = _sample_words(rng, band, n_words, frac)
+            words = _sample_words(draws, band, n_words, frac)
             utterances.append(_unchecked(Utterance, speaker, " ".join(words), tuple(words)))
         dialogs.append(_unchecked(Dialog, f"synth-{i:05d}-{traj}", tuple(utterances)))
     return dialogs

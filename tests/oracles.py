@@ -6,6 +6,9 @@ Each is the plain, per-step form of what the package computes batched:
 loss terms that ``objective.pege_loss`` sums over a whole batch's rows.
 ``peg_score`` and ``e_score`` are the metrics' numpy formulas, one VAD row
 per utterance, which ``metrics`` computes in plain floats.
+``synthesize_corpus`` calls numpy's ``Generator`` once per draw and builds
+checked records, where ``corpus.synthesize_corpus`` replays the same draws
+from raw blocks and builds its records unchecked.
 """
 
 from __future__ import annotations
@@ -16,8 +19,17 @@ from typing import Sequence
 import numpy as np
 
 from emoguide.checks import check_real
-from emoguide.corpus import Dialog
+from emoguide.corpus import (
+    _SOFTEN,
+    WORD_BANK,
+    Dialog,
+    SynthConfig,
+    Utterance,
+    _agent_band,
+    apportion,
+)
 from emoguide.model import Model, _forward_cached, pack
+from emoguide.polarity import NEGATIVE, NEUTRAL, POSITIVE
 from emoguide.vad import NEUTRAL_BASELINE, VadLexicon, VadMatrix, utterance_mean_vad
 from emoguide.vocab import AGENT, USER
 
@@ -105,3 +117,54 @@ def e_score(dialog: Dialog, lexicon: VadLexicon) -> float:
         raise ValueError(f"{dialog.source_id}: no agent utterances in the first half")
     u1 = utterance_mean_vad(lexicon, utts[0].tokens).to_array()
     return float(-np.abs(u1 - np.mean(rows, axis=0)).sum())
+
+
+def synthesize_corpus(gen: SynthConfig, seed: int) -> list[Dialog]:
+    """The synthetic corpus drawn with one ``Generator`` call per draw."""
+    rng = np.random.default_rng(seed)
+    n = gen.num_dialogs
+    counts = apportion(gen.polarity_mix, n)
+    start_labels = [NEGATIVE] * counts[0] + [NEUTRAL] * counts[1] + [POSITIVE] * counts[2]
+    traj_counts = apportion(gen.trajectory_mix, n)
+    trajectories = (
+        ["uplift"] * traj_counts[0] + ["abrupt"] * traj_counts[1] + ["stuck"] * traj_counts[2]
+    )
+    start_labels = [start_labels[i] for i in rng.permutation(n)]
+    trajectories = [trajectories[i] for i in rng.permutation(n)]
+
+    first_odd, last = gen.turns_range[0] | 1, gen.turns_range[1]
+    n_odd = (last - first_odd) // 2 + 1
+    dialogs = []
+    for i in range(n):
+        start, traj = start_labels[i], trajectories[i]
+        n_utts = first_odd + 2 * int(rng.integers(n_odd))
+        utterances = []
+        prev_agent_band = start
+        for pos in range(1, n_utts + 1):
+            rho = (pos - 1) / (n_utts - 1)
+            n_words = int(rng.integers(gen.min_words, gen.max_words + 1))
+            if pos == 1:
+                band, frac, speaker = start, 0.0, USER
+            elif pos == n_utts:
+                band, frac, speaker = "very_positive", 0.0, USER
+            elif pos % 2 == 0:
+                band = _agent_band(traj, start, rho)
+                if rng.random() < 0.1:
+                    band = _SOFTEN[band]
+                prev_agent_band = band
+                frac, speaker = 0.25, AGENT
+            else:
+                band = prev_agent_band
+                if rng.random() < 0.15:
+                    band = _SOFTEN[band]
+                frac, speaker = 0.25, USER
+            words = []
+            for _ in range(n_words):
+                if frac > 0.0 and rng.random() < frac:
+                    rows = WORD_BANK["function"]
+                else:
+                    rows = WORD_BANK[band]
+                words.append(rows[int(rng.integers(len(rows)))][0])
+            utterances.append(Utterance(speaker, " ".join(words)))
+        dialogs.append(Dialog(f"synth-{i:05d}-{traj}", tuple(utterances)))
+    return dialogs

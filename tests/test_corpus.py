@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from emoguide.corpus import (
     RULE_NAMES,
     WORD_BANK,
@@ -22,6 +23,7 @@ from emoguide.corpus import (
     SynthConfig,
     TrainingExample,
     Utterance,
+    _Draws,
     apportion,
     dialog_from_record,
     dialog_to_record,
@@ -173,6 +175,60 @@ def test_synthesized_records_equal_their_checked_round_trip(config, seed):
             assert made.speaker is rebuilt.speaker
             assert made.tokens == rebuilt.tokens
             assert all(map(operator.is_, made.tokens, rebuilt.tokens))
+
+
+# 1 consumes nothing; the bank sizes, default utterance and word counts and
+# config bounds are what synthesis asks for; Lemire's method rejects about
+# half its draws at 2**31 + 11 and a quarter at 3 * 2**30, whose threshold
+# 2**32 % k is far below k; at 2**32 numpy returns the 32 bits as drawn
+REPLAYED_KS = (1, 2, 3, 4, 5, 7, 12, 14, 16, 20, 24, 1000, 2**31 + 11, 3 * 2**30, 2**32)
+
+
+@pytest.mark.parametrize("kept_half", [False, True])
+@pytest.mark.parametrize("block", [1, 7, 1024])
+def test_draws_replay_the_installed_numpys_scalar_calls(kept_half, block):
+    # guards against a numpy release that changes how Generator.random() or
+    # Generator.integers(k) turn PCG64 words into results
+    for seed in range(40):
+        numpy_rng, replayed = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (numpy_rng, replayed):
+            rng.permutation(10 + seed)
+            if kept_half != rng.bit_generator.state["has_uint32"]:
+                rng.integers(5)
+            assert rng.bit_generator.state["has_uint32"] == kept_half
+        draws = _Draws(replayed, block)
+        choose = np.random.default_rng(1000 + seed)
+        for _ in range(300):
+            if choose.random() < 0.3:
+                assert draws.random() == numpy_rng.random()
+            else:
+                k = REPLAYED_KS[choose.integers(len(REPLAYED_KS))]
+                assert draws.integers(k) == numpy_rng.integers(k), (seed, k)
+
+
+@pytest.mark.parametrize("k", [0, -1, 2**32 + 1, 2**40])
+def test_draws_refuse_a_k_numpy_draws_with_64_bits(k):
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        _Draws(np.random.default_rng(0), 7).integers(k)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SynthConfig(),
+        SynthConfig(num_dialogs=30, turns_range=(5, 5)),
+        SynthConfig(num_dialogs=30, min_words=4, max_words=4),
+        SynthConfig(num_dialogs=10, turns_range=(3, 41), min_words=1, max_words=40),
+        SynthConfig(num_dialogs=30, polarity_mix=(0.2, 0, 0.8), trajectory_mix=(1, 2, 0)),
+    ],
+)
+def test_synthesis_equals_the_one_call_per_draw_oracle(config):
+    for seed in range(40):
+        made, expected = synthesize_corpus(config, seed), oracles.synthesize_corpus(config, seed)
+        assert made == expected, seed
+        for dialog, checked in zip(made, expected, strict=True):
+            for utt, ref in zip(dialog.utterances, checked.utterances, strict=True):
+                assert utt.tokens == ref.tokens
 
 
 def test_synth_config_validation():
